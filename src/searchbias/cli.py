@@ -40,7 +40,7 @@ from .gender_text import (
     neutralize,
     save_captions,
 )
-from .metrics import bias_at_k, occupation_bias_report, recall_at_k
+from .metrics import bias_at_k, metric_curve, occupation_bias_report, recall_at_k
 from .retrieval import retrieve_all
 from .trainer import TrainerConfig, train
 
@@ -192,11 +192,12 @@ def cmd_evaluate(args):
     k_max = k_list[-1]
     results = retrieve_all(texts, images, k=k_max, threads=args.threads)
 
+    curve = metric_curve(results, k_max, labels=labels, truth=truth)
     metrics = []
     curve_rows = []
     for k in range(1, k_max + 1):
-        bias = bias_at_k(results, labels, k)
-        recall = recall_at_k(results, truth, k)
+        bias = curve.bias(k)
+        recall = curve.recall(k)
         curve_rows.append([k, bias.bias_at_k, recall.recall_at_k])
         if k in k_list:
             metrics.append(
@@ -211,10 +212,11 @@ def cmd_evaluate(args):
     _write_json(_out_path(args, "report.json"), report)
     _write_csv(_out_path(args, "curve.csv"), ["k", "bias_at_k", "recall_at_k"], curve_rows)
     if args.per_query:
-        rows = []
-        for res in results:
-            for k in range(1, k_max + 1):
-                rows.append([res.text_id, k, bias_at_k([res], labels, k).bias_at_k])
+        rows = [
+            [text_id, k, delta]
+            for text_id, deltas in zip(curve.text_ids, curve.deltas.tolist())
+            for k, delta in enumerate(deltas, start=1)
+        ]
         _write_csv(_out_path(args, "per_query.csv"), ["text_id", "k", "delta"], rows)
     _write_manifest(args, [args.images, args.texts, args.labels, args.truth, args.clip_plan])
     headline = ", ".join(

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DataError, EmbeddingTable, GenderLabel
-from .retrieval import cosine
 
 _CLASS_INDEX = {GenderLabel.MALE: 0, GenderLabel.FEMALE: 1, GenderLabel.NEUTRAL: 2}
 
@@ -165,13 +164,3 @@ def apply_clip(table, plan):
     if zero.size:
         raise DataError(f"vector {table.ids[int(zero[0])]!r} is all-zero after clipping")
     return EmbeddingTable(list(table.ids), clipped)
-
-
-def clipped_similarity(v, c, plan):
-    """Cosine similarity after masking the plan's clipped dimensions."""
-    v = np.asarray(v, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    if v.shape != (plan.dim,) or c.shape != (plan.dim,):
-        raise DataError(f"vectors must have plan dim {plan.dim}")
-    keep = plan.kept_dims()
-    return cosine(v[keep], c[keep])

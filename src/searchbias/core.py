@@ -7,6 +7,7 @@ diffed, and produced by external encoders without this package installed.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -125,6 +126,9 @@ def _parse_jsonl(path):
             yield lineno, obj
 
 
+_NUMBER_TYPES = frozenset((int, float))
+
+
 def load_embeddings(path, expected_dim=None):
     """Load an embedding table from JSONL.
 
@@ -132,7 +136,11 @@ def load_embeddings(path, expected_dim=None):
     header line is accepted (written by save_embeddings for empty tables).
     Errors name the offending line and id.
     """
-    ids, rows = [], []
+    ids = []
+    seen = set()
+    # Rows packed end to end; the table is a view of this buffer, so loading
+    # holds one copy of the vectors rather than a list of rows plus a stack.
+    packed = array("d")
     header_dim = None
     for lineno, obj in _parse_jsonl(path):
         if lineno == 1 and "dim" in obj and "id" not in obj:
@@ -145,9 +153,8 @@ def load_embeddings(path, expected_dim=None):
         id_, vec = obj["id"], obj["vector"]
         if not isinstance(id_, str) or not id_:
             raise DataError(f"{path}, line {lineno}: id must be a non-empty string")
-        if not isinstance(vec, list) or not vec or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in vec
-        ):
+        # JSON numbers parse to exactly int or float; bool, a subclass of int, is refused.
+        if not isinstance(vec, list) or not vec or not set(map(type, vec)) <= _NUMBER_TYPES:
             raise DataError(f"{path}, line {lineno} (id {id_!r}): vector must be a non-empty list of numbers")
         row = np.asarray(vec, dtype=np.float64)
         if not np.all(np.isfinite(row)):
@@ -155,22 +162,23 @@ def load_embeddings(path, expected_dim=None):
         if not row.any():
             raise DataError(f"{path}, line {lineno} (id {id_!r}): all-zero vector")
         want = expected_dim if expected_dim is not None else header_dim
-        if want is None and rows:
-            want = rows[0].shape[0]
+        if want is None and ids:
+            want = len(packed) // len(ids)
         if want is not None and row.shape[0] != want:
             raise DataError(
                 f"{path}, line {lineno} (id {id_!r}): dimension mismatch, got {row.shape[0]}, expected {want}"
             )
-        if id_ in set(ids):
+        if id_ in seen:
             raise DataError(f"{path}, line {lineno}: duplicate id {id_!r}")
+        seen.add(id_)
         ids.append(id_)
-        rows.append(row)
-    if not rows:
+        packed.frombytes(row.tobytes())
+    if not ids:
         dim = expected_dim if expected_dim is not None else header_dim
         if dim is None:
             raise DataError(f"{path}: empty table without a dim header")
         return EmbeddingTable([], np.empty((0, dim)))
-    return EmbeddingTable(ids, np.vstack(rows))
+    return EmbeddingTable(ids, np.frombuffer(packed, dtype=np.float64).reshape(len(ids), -1))
 
 
 def save_embeddings(table, path):

@@ -6,15 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from searchbias.clipper import (
-    ClipPlan,
-    apply_clip,
-    clipped_similarity,
-    estimate_mi,
-    fit_clip_plan,
-)
+from searchbias.clipper import ClipPlan, apply_clip, estimate_mi, fit_clip_plan
 from searchbias.core import DataError, EmbeddingTable, GenderLabel
-from searchbias.retrieval import cosine
 
 M, F, N = GenderLabel.MALE, GenderLabel.FEMALE, GenderLabel.NEUTRAL
 
@@ -164,14 +157,6 @@ def test_apply_clip_dim_mismatch():
     plan = ClipPlan(dim=3, mi=[0.0] * 3, clipped=[0])
     with pytest.raises(DataError):
         apply_clip(table, plan)
-
-
-def test_clipped_similarity_equals_cosine_on_kept_dims():
-    rng = np.random.default_rng(6)
-    v, c = rng.standard_normal(8), rng.standard_normal(8)
-    plan = ClipPlan(dim=8, mi=[0.0] * 8, clipped=[0, 3, 6])
-    kept = plan.kept_dims()
-    assert clipped_similarity(v, c, plan) == cosine(v[kept], c[kept])
 
 
 def test_clipping_planted_dims_lowers_mean_bias():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from searchbias import retrieval
 from searchbias.core import DataError, EmbeddingTable
 from searchbias.retrieval import cosine, retrieve_all, retrieve_topk
 
@@ -115,3 +116,41 @@ def test_retrieval_validation():
         retrieve_topk([1.0], images, 1)
     with pytest.raises(DataError):
         retrieve_topk([1.0, 0.0], images, 0)
+
+
+def test_block_size_and_threads_do_not_change_bytes(monkeypatch):
+    """Multi-block, multi-thread retrieval equals per-query retrieval byte for byte.
+
+    Each image appears as a group of exact duplicates, power-of-two scaled
+    copies (exactly tied cosines) and copies moved by one ulp (near-ties), so
+    for many k the k-th place falls inside a group. Queries repeat the same
+    way, so equal queries straddle block edges.
+    """
+    rng = np.random.default_rng(12)
+    base = rng.standard_normal((9, 7))
+    nudged = base.copy()
+    nudged[:, 0] = np.nextafter(nudged[:, 0], np.inf)
+    group = np.stack([base, base, 2.0 * base, 0.25 * base, nudged], axis=1)
+    vectors = group.reshape(-1, 7)
+    images = EmbeddingTable([f"i{j}" for j in range(len(vectors))], vectors)
+    queries = np.concatenate([
+        rng.standard_normal((4, 7)),
+        np.repeat(base[:4], 2, axis=0),
+        4.0 * base[4:7],
+        nudged[7:],
+        base[:4] + 1e-13 * rng.standard_normal((4, 7)),
+    ])
+    texts = EmbeddingTable([f"t{j}" for j in range(len(queries))], queries)
+    for k in (1, 3, 4, 7, 22, len(vectors), len(vectors) + 5):
+        single = [retrieve_topk(texts.row(t), images, k, text_id=t).ranked for t in texts.ids]
+        for budget in (1, 3 * len(images), retrieval._BLOCK_ENTRIES):
+            monkeypatch.setattr(retrieval, "_BLOCK_ENTRIES", budget)
+            for threads in (1, 3):
+                got = retrieve_all(texts, images, k, threads=threads)
+                assert [r.ranked for r in got] == single, (k, budget, threads)
+        monkeypatch.undo()
+        # Repeated queries rank identically; tied images keep file order.
+        assert single[4] == single[5] and single[6] == single[7]
+        for ranked in single:
+            keys = [(-s, int(iid[1:])) for iid, s in ranked]
+            assert keys == sorted(keys)
