@@ -300,8 +300,13 @@ def cmd_sweep_alpha(args):
     text_labels = load_labels(args.text_labels) if args.text_labels else None
     if args.epochs < 1:
         raise DataError("sweep-alpha needs --epochs >= 1")
-    if args.val_frac <= 0:
-        raise DataError("sweep-alpha needs --val-frac > 0 to score each run")
+    # Each run is scored on the validation split, as train() rounds it.
+    n_val = int(round(len(ds.texts) * args.val_frac))
+    if n_val < 1:
+        raise DataError(
+            f"sweep-alpha needs a non-empty validation split to score each run; "
+            f"--val-frac {args.val_frac} of {len(ds.texts)} texts gives {max(n_val, 0)}"
+        )
     alphas = sorted(set(args.alphas))
     seeds = args.seeds if args.seeds else [args.seed]
     rows = []

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -175,6 +176,8 @@ class LinearEncoders:
 
 
 def _similarity(batch, encoders):
+    if len(batch) < 2:
+        raise DataError("batch of size 1 has no negatives")
     a = batch.image_vecs @ encoders.w_img.T
     b = batch.text_vecs @ encoders.w_txt.T
     na = np.linalg.norm(a, axis=1)
@@ -186,191 +189,122 @@ def _similarity(batch, encoders):
     return ah @ bh.T, ah, bh, na, nb
 
 
-def _check_pairable(batch):
-    if len(batch) < 2:
-        raise DataError("batch of size 1 has no negatives")
+class _Objective(NamedTuple):
+    loss: float
+    l_it: float
+    l_ti: float
+    l_fair: float
+    g: np.ndarray
 
 
-def _hardest_ti_terms(batch, s, gamma):
-    """Per-pair standard text-to-image hinge terms and their negative rows."""
+def _objective(batch, s, gamma, alpha, rng=None, mc_negatives=False):
+    """Every term of the blended objective from the similarity matrix.
+
+    s[i, j] is the cosine of image i and text j. Returns the three losses,
+    their blend l_it + alpha * l_fair + (1 - alpha) * l_ti, and the matrix g
+    whose entry g[i, j] is the coefficient of s[i, j] in the blend. A pair's
+    own image (by id) is never a negative. At alpha 0 the fair term is not
+    computed and l_fair is 0.0.
+    """
     n = len(batch)
-    # A pair's own image (by id) is never a negative.
+    cols = np.arange(n)
     valid = batch.codes[:, None] != batch.codes[None, :]
+    has_neg = valid.any(axis=0)  # valid is symmetric
     masked = np.where(valid, s, -np.inf)
+    margin = gamma - np.diag(s)
+
+    # Image-to-text: each image row against its hardest negative text.
+    neg_col = np.argmax(masked, axis=1)
+    it_hinge = margin + s[cols, neg_col]
+    it_act = has_neg & (it_hinge > 0.0)
+    l_it = float(np.sum(np.where(it_act, it_hinge, 0.0)))
+
+    # Text-to-image: each text column against its hardest negative image.
     neg_row = np.argmax(masked, axis=0)
-    has_neg = np.isfinite(masked[neg_row, np.arange(n)])
-    pos = np.diag(s)
-    hinge = gamma - pos + s[neg_row, np.arange(n)]
-    terms = np.where(has_neg & (hinge > 0.0), hinge, 0.0)
-    return terms, neg_row, has_neg
+    ti_hinge = margin + s[neg_row, cols]
+    ti_act = has_neg & (ti_hinge > 0.0)
+    ti_terms = np.where(ti_act, ti_hinge, 0.0)
+    l_ti = float(np.sum(ti_terms))
+
+    # Fair text-to-image: a neutral query with a Male and a Female negative
+    # averages ramped hinges over each partition, half weight each; in MC mode
+    # it takes one member of one partition. Other queries keep the standard
+    # term. w_fair[i, j] is the weight of image i in text j's fair term.
+    l_fair = 0.0
+    std_weight = 1.0
+    if alpha:
+        parts = np.zeros((n, 2))  # columns: the Male and the Female partition
+        parts[batch.male_rows, 0] = 1.0
+        parts[batch.female_rows, 1] = 1.0
+        valid_f = valid.astype(np.float64)
+        counts = parts.T @ valid_f  # partition sizes without the query's own image
+        use = batch.neutral_query & (counts > 0.0).all(axis=0)
+        if mc_negatives:
+            if rng is None:
+                raise DataError("mc_negatives mode needs an rng")
+            # Sides (0 Male, 1 Female), then picks within them, in query order.
+            side = rng.integers(2, size=int(use.sum()))
+            pick = rng.integers(counts[side, use].astype(np.int64))
+            members = parts[:, side] * valid_f[:, use]
+            w_fair = np.zeros((n, n))
+            w_fair[np.argmax(np.cumsum(members, axis=0) > pick, axis=0), cols[use]] = 1.0
+        else:
+            w_fair = parts @ np.where(use, 0.5 / np.maximum(counts, 1.0), 0.0) * valid_f
+        hinge = margin[None, :] + s  # hinge[i, j]: text j against image i
+        w_fair = np.where(hinge > 0.0, w_fair, 0.0)  # ramp: kinks take subgradient 0
+        l_fair = float(np.sum(np.where(use, (w_fair * hinge).sum(axis=0), ti_terms)))
+        std_weight = np.where(use, 1.0 - alpha, 1.0)[ti_act]
+
+    # g: fair weights, then the hardest negatives, then each positive pair,
+    # whose coefficient is minus the weight of its negatives.
+    g = alpha * w_fair if alpha else np.zeros((n, n))
+    g[neg_row[ti_act], cols[ti_act]] += std_weight
+    diag = -(it_act + g.sum(axis=0))
+    g[cols[it_act], neg_col[it_act]] += 1.0
+    g[cols, cols] = diag
+    loss = l_it + alpha * l_fair + (1.0 - alpha) * l_ti
+    return _Objective(loss, l_it, l_ti, l_fair, g)
 
 
 def triplet_loss_ti(batch, encoders, gamma):
     """Text-to-image hinge loss with the hardest in-batch negative image."""
-    _check_pairable(batch)
-    s, *_ = _similarity(batch, encoders)
-    terms, _, _ = _hardest_ti_terms(batch, s, gamma)
-    return float(np.sum(terms))
+    return _objective(batch, _similarity(batch, encoders)[0], gamma, 0.0).l_ti
 
 
 def triplet_loss_it(batch, encoders, gamma):
     """Image-to-text hinge loss with the hardest in-batch negative text."""
-    _check_pairable(batch)
-    s, *_ = _similarity(batch, encoders)
-    n = len(batch)
-    valid = batch.codes[:, None] != batch.codes[None, :]
-    masked = np.where(valid, s, -np.inf)
-    neg_col = np.argmax(masked, axis=1)
-    has_neg = np.isfinite(masked[np.arange(n), neg_col])
-    pos = np.diag(s)
-    hinge = gamma - pos + s[np.arange(n), neg_col]
-    terms = np.where(has_neg & (hinge > 0.0), hinge, 0.0)
-    return float(np.sum(terms))
-
-
-def _fair_ti_terms(batch, s, gamma, rng, mc_negatives):
-    """Per-pair fair text-to-image terms.
-
-    Neutral queries average ramped hinges over the Male and the Female
-    partition (own image excluded), half weight each; everything else, and any
-    neutral query whose exclusion empties a partition, takes the standard
-    hardest-negative term.
-    """
-    n = len(batch)
-    std_terms, _, _ = _hardest_ti_terms(batch, s, gamma)
-    terms = std_terms.copy()
-    pos = np.diag(s)
-    male = np.asarray(batch.male_rows, dtype=np.int64)
-    female = np.asarray(batch.female_rows, dtype=np.int64)
-    for j in range(n):
-        if not batch.neutral_query[j]:
-            continue
-        m_rows = male[batch.codes[male] != batch.codes[j]] if male.size else male
-        f_rows = female[batch.codes[female] != batch.codes[j]] if female.size else female
-        if m_rows.size == 0 or f_rows.size == 0:
-            continue  # fallback already in terms[j]
-        if mc_negatives:
-            if rng is None:
-                raise DataError("mc_negatives mode needs an rng")
-            side = m_rows if rng.integers(2) == 0 else f_rows
-            pick = side[rng.integers(side.size)]
-            terms[j] = max(0.0, gamma - pos[j] + s[pick, j])
-        else:
-            hm = np.maximum(0.0, gamma - pos[j] + s[m_rows, j])
-            hf = np.maximum(0.0, gamma - pos[j] + s[f_rows, j])
-            terms[j] = 0.5 * float(np.mean(hm)) + 0.5 * float(np.mean(hf))
-    return terms
+    return _objective(batch, _similarity(batch, encoders)[0], gamma, 0.0).l_it
 
 
 def fair_loss_ti(batch, encoders, gamma, rng=None, mc_negatives=False):
     """Text-to-image loss with gender-fair negatives for neutral queries."""
-    _check_pairable(batch)
-    s, *_ = _similarity(batch, encoders)
-    terms = _fair_ti_terms(batch, s, gamma, rng, mc_negatives)
-    return float(np.sum(terms))
+    s = _similarity(batch, encoders)[0]
+    return _objective(batch, s, gamma, 1.0, rng, mc_negatives).l_fair
 
 
 def total_loss(batch, encoders, cfg, rng=None):
     """Image-to-text loss plus the alpha blend of fair and standard t-to-i losses."""
-    l_it = triplet_loss_it(batch, encoders, cfg.gamma)
-    l_ti = triplet_loss_ti(batch, encoders, cfg.gamma)
-    l_fair = fair_loss_ti(batch, encoders, cfg.gamma, rng, cfg.mc_negatives)
-    return l_it + cfg.alpha * l_fair + (1.0 - cfg.alpha) * l_ti
+    s = _similarity(batch, encoders)[0]
+    return _objective(batch, s, cfg.gamma, cfg.alpha, rng, cfg.mc_negatives).loss
 
 
 def _loss_and_grad(batch, encoders, cfg, rng=None):
     """Total loss and its analytic gradient w.r.t. both encoder matrices.
 
-    Accumulates a weight matrix g where g[i, j] is the coefficient of
-    S(image_i, text_j) in the loss, then backpropagates through the cosine in
-    closed form. Hinge kinks take subgradient 0; hardest-negative choices are
-    held fixed, which is exact away from argmax ties.
+    Backpropagates the coefficient matrix g of `_objective` through the
+    cosine in closed form. Hinge kinks take subgradient 0; hardest-negative
+    choices are held fixed, which is exact away from argmax ties.
     """
-    _check_pairable(batch)
     s, ah, bh, na, nb = _similarity(batch, encoders)
-    n = len(batch)
-    idx = np.arange(n)
-    g = np.zeros((n, n))
-    valid = batch.codes[:, None] != batch.codes[None, :]
-    masked = np.where(valid, s, -np.inf)
-    pos = np.diag(s)
-
-    # Image-to-text direction, weight 1.
-    neg_col = np.argmax(masked, axis=1)
-    it_has = np.isfinite(masked[idx, neg_col])
-    it_hinge = cfg.gamma - pos + s[idx, neg_col]
-    it_act = it_has & (it_hinge > 0.0)
-    l_it = float(np.sum(np.where(it_act, it_hinge, 0.0)))
-    np.add.at(g, (idx[it_act], neg_col[it_act]), 1.0)
-    g[idx[it_act], idx[it_act]] -= 1.0
-
-    # Standard text-to-image direction, weight (1 - alpha).
-    neg_row = np.argmax(masked, axis=0)
-    ti_has = np.isfinite(masked[neg_row, idx])
-    ti_hinge = cfg.gamma - pos + s[neg_row, idx]
-    ti_act = ti_has & (ti_hinge > 0.0)
-    ti_terms = np.where(ti_act, ti_hinge, 0.0)
-    l_ti = float(np.sum(ti_terms))
-    w_std = 1.0 - cfg.alpha
-    if w_std:
-        np.add.at(g, (neg_row[ti_act], idx[ti_act]), w_std)
-        g[idx[ti_act], idx[ti_act]] -= w_std
-
-    # Fair text-to-image direction, weight alpha.
-    if cfg.alpha:
-        male = np.asarray(batch.male_rows, dtype=np.int64)
-        female = np.asarray(batch.female_rows, dtype=np.int64)
-        fair_terms = ti_terms.copy()
-        fair_g = np.zeros((n, n))
-        fallback = np.ones(n, dtype=bool)
-        for j in range(n):
-            if not batch.neutral_query[j]:
-                continue
-            m_rows = male[batch.codes[male] != batch.codes[j]] if male.size else male
-            f_rows = female[batch.codes[female] != batch.codes[j]] if female.size else female
-            if m_rows.size == 0 or f_rows.size == 0:
-                continue
-            fallback[j] = False
-            if cfg.mc_negatives:
-                if rng is None:
-                    raise DataError("mc_negatives mode needs an rng")
-                side = m_rows if rng.integers(2) == 0 else f_rows
-                pick = int(side[rng.integers(side.size)])
-                h = cfg.gamma - pos[j] + s[pick, j]
-                fair_terms[j] = max(0.0, float(h))
-                if h > 0.0:
-                    fair_g[pick, j] += 1.0
-                    fair_g[j, j] -= 1.0
-            else:
-                hm = cfg.gamma - pos[j] + s[m_rows, j]
-                hf = cfg.gamma - pos[j] + s[f_rows, j]
-                am = hm > 0.0
-                af = hf > 0.0
-                fair_terms[j] = 0.5 * float(np.mean(np.where(am, hm, 0.0))) + 0.5 * float(
-                    np.mean(np.where(af, hf, 0.0))
-                )
-                fair_g[m_rows[am], j] += 0.5 / m_rows.size
-                fair_g[f_rows[af], j] += 0.5 / f_rows.size
-                fair_g[j, j] -= 0.5 * (int(am.sum()) / m_rows.size + int(af.sum()) / f_rows.size)
-        # Fallback pairs reuse the standard hardest-negative term.
-        fb_act = ti_act & fallback
-        np.add.at(fair_g, (neg_row[fb_act], idx[fb_act]), 1.0)
-        fair_g[idx[fb_act], idx[fb_act]] -= 1.0
-        l_fair = float(np.sum(fair_terms))
-        g += cfg.alpha * fair_g
-    else:
-        l_fair = 0.0  # weight 0: skip the fair pass entirely
-
-    loss = l_it + cfg.alpha * l_fair + (1.0 - cfg.alpha) * l_ti
-
+    obj = _objective(batch, s, cfg.gamma, cfg.alpha, rng, cfg.mc_negatives)
+    g = obj.g
     # d cos(a_i, b_j) / d a_i = (bh_j - S_ij ah_i) / |a_i|, and symmetrically.
-    row_ws = (g * s).sum(axis=1)
-    col_ws = (g * s).sum(axis=0)
-    u = (g @ bh - row_ws[:, None] * ah) / na[:, None]
-    w = (g.T @ ah - col_ws[:, None] * bh) / nb[:, None]
+    gs = g * s
+    u = (g @ bh - gs.sum(axis=1)[:, None] * ah) / na[:, None]
+    w = (g.T @ ah - gs.sum(axis=0)[:, None] * bh) / nb[:, None]
     d_img = u.T @ batch.image_vecs
     d_txt = w.T @ batch.text_vecs
-    return loss, d_img, d_txt
+    return obj.loss, d_img, d_txt
 
 
 def _build_pairs(dataset, text_labels=None):

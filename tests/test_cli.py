@@ -252,6 +252,16 @@ def test_sweep_alpha_rows(data_dir, tmp_path):
         assert -1.0 <= float(row["bias_at_10"]) <= 1.0
 
 
+def test_sweep_alpha_rejects_an_empty_validation_split(data_dir, tmp_path):
+    base = ["sweep-alpha", *dataset_args(data_dir), "--alphas", "0,1", "--epochs", "1",
+            "--batch-size", "32", "--emb-dim", "6", "--out-dir", str(tmp_path)]
+    # 120 texts: 0.004 rounds to an empty split, 0 asks for none.
+    for val_frac in ("0.004", "0"):
+        assert main([*base, "--val-frac", val_frac]) == 2
+    assert not (tmp_path / "alpha_sweep.csv").exists()
+    assert main([*base, "--val-frac", "0.005"]) == 0
+
+
 def test_sweep_m_first_row_matches_unclipped_eval(data_dir, tmp_path):
     eval_dir = tmp_path / "eval"
     assert main(["evaluate", *dataset_args(data_dir), "--out-dir", str(eval_dir)]) == 0

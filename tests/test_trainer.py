@@ -43,6 +43,39 @@ def random_batch(seed, n=10, d=6, p_neutral=0.5, dup_images=False):
     )
 
 
+def fair_sweep_batch(seed, n=64, d=6):
+    """An all-neutral batch of n pairs drawing from fewer images, as in fair-sweep."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, 40, n)
+    pool = rng.standard_normal((40, d))
+    genders = rng.integers(0, 3, 40)
+    return TripletBatch(
+        image_vecs=pool[rows],
+        text_vecs=rng.standard_normal((n, d)),
+        image_ids=[f"img{int(i)}" for i in rows],
+        image_labels=[[M, F, N][int(genders[i])] for i in rows],
+        neutral_query=np.ones(n, dtype=bool),
+    )
+
+
+def exclusion_fallback_batch(seed, d=6):
+    """The only Female image is the own image of pairs 0 and 1: their Female
+    partition is empty after exclusion, so they fall back; the others do not."""
+    rng = np.random.default_rng(seed)
+    rows = [0, 0, 1, 2, 3, 4, 1, 5]
+    return TripletBatch(
+        image_vecs=rng.standard_normal((6, d))[rows],
+        text_vecs=rng.standard_normal((8, d)),
+        image_ids=["f", "f", "m1", "m2", "m3", "n1", "m1", "n2"],
+        image_labels=[F, F, M, M, M, N, M, N],
+        neutral_query=np.ones(8, dtype=bool),
+    )
+
+
+def fair_regime_batches():
+    return [fair_sweep_batch(40), fair_sweep_batch(41), exclusion_fallback_batch(42)]
+
+
 def random_encoders(seed, d=6, emb=5):
     rng = np.random.default_rng(seed + 1000)
     return LinearEncoders.init(d, emb, rng)
@@ -97,8 +130,10 @@ def oracle_losses(batch, encoders, gamma):
 
 def test_losses_match_bruteforce_oracle():
     gamma = 0.3
-    for seed in range(12):
-        batch = random_batch(seed, n=int(3 + seed % 8), dup_images=seed % 3 == 0)
+    batches = [
+        random_batch(seed, n=int(3 + seed % 8), dup_images=seed % 3 == 0) for seed in range(12)
+    ]
+    for seed, batch in enumerate(batches + fair_regime_batches()):
         enc = random_encoders(seed)
         l_it, l_ti, l_fair = oracle_losses(batch, enc, gamma)
         assert triplet_loss_it(batch, enc, gamma) == pytest.approx(l_it, abs=1e-10)
@@ -139,11 +174,17 @@ def test_loss_and_grad_loss_matches_total_loss():
 
 def fd_check(batch, cfg, seed, n_coords=6, h=1e-6, tol=1e-3):
     enc = random_encoders(seed)
-    _, d_img, d_txt = _loss_and_grad(batch, enc, cfg)
+
+    def neg_rng():
+        # MC picks depend on the rng and the batch only, so a fresh rng with
+        # one seed holds them fixed across evaluations.
+        return np.random.default_rng(seed + 99)
+
+    _, d_img, d_txt = _loss_and_grad(batch, enc, cfg, neg_rng())
     rng = np.random.default_rng(seed + 7)
 
     def loss_at(wi, wt):
-        return total_loss(batch, LinearEncoders(w_img=wi, w_txt=wt), cfg)
+        return total_loss(batch, LinearEncoders(w_img=wi, w_txt=wt), cfg, neg_rng())
 
     for grad, which in ((d_img, "img"), (d_txt, "txt")):
         shape = enc.w_img.shape
@@ -163,26 +204,38 @@ def fd_check(batch, cfg, seed, n_coords=6, h=1e-6, tol=1e-3):
 
 
 def test_gradients_match_finite_differences():
+    batches = [random_batch(0, n=8), random_batch(1, n=8)] + fair_regime_batches()
     for alpha in (0.0, 0.4, 1.0):
         cfg = TrainerConfig(gamma=0.3, alpha=alpha, epochs=1)
-        for seed in (0, 1):
-            fd_check(random_batch(seed, n=8), cfg, seed)
+        for seed, batch in enumerate(batches):
+            fd_check(batch, cfg, seed)
+
+
+def test_mc_negatives_loss_and_gradients():
+    batches = [random_batch(5, n=10, p_neutral=0.8)] + fair_regime_batches()
+    for alpha in (0.4, 1.0):
+        cfg = TrainerConfig(gamma=0.3, alpha=alpha, epochs=1, mc_negatives=True)
+        for seed, batch in enumerate(batches):
+            enc = random_encoders(seed)
+            loss, _, _ = _loss_and_grad(batch, enc, cfg, np.random.default_rng(seed))
+            assert loss == total_loss(batch, enc, cfg, np.random.default_rng(seed))
+            fd_check(batch, cfg, seed)
 
 
 def test_loss_invariant_under_batch_permutation():
-    batch = random_batch(8, n=12)
     enc = random_encoders(8)
     cfg = TrainerConfig(gamma=0.3, alpha=0.7, epochs=1)
-    base = total_loss(batch, enc, cfg)
-    perm = np.random.default_rng(9).permutation(12)
-    shuffled = TripletBatch(
-        image_vecs=batch.image_vecs[perm],
-        text_vecs=batch.text_vecs[perm],
-        image_ids=[batch.image_ids[int(i)] for i in perm],
-        image_labels=[batch.image_labels[int(i)] for i in perm],
-        neutral_query=batch.neutral_query[perm],
-    )
-    assert total_loss(shuffled, enc, cfg) == pytest.approx(base, abs=1e-12)
+    for batch in [random_batch(8, n=12)] + fair_regime_batches():
+        base = total_loss(batch, enc, cfg)
+        perm = np.random.default_rng(9).permutation(len(batch))
+        shuffled = TripletBatch(
+            image_vecs=batch.image_vecs[perm],
+            text_vecs=batch.text_vecs[perm],
+            image_ids=[batch.image_ids[int(i)] for i in perm],
+            image_labels=[batch.image_labels[int(i)] for i in perm],
+            neutral_query=batch.neutral_query[perm],
+        )
+        assert total_loss(shuffled, enc, cfg) == pytest.approx(base, abs=1e-12)
 
 
 def test_own_image_never_a_negative():
@@ -316,12 +369,14 @@ def tiny_dataset(seed=0, n_images=40, n_texts=60):
 
 
 def test_train_is_deterministic():
-    cfg = TrainerConfig(gamma=0.2, alpha=0.5, lr=0.01, epochs=2, batch_size=16, seed=3, emb_dim=6)
     ds = tiny_dataset()
-    a = train(ds, cfg)
-    b = train(ds, cfg)
-    assert a.w_img.tobytes() == b.w_img.tobytes()
-    assert a.w_txt.tobytes() == b.w_txt.tobytes()
+    for mc_negatives in (False, True):
+        cfg = TrainerConfig(gamma=0.2, alpha=0.5, lr=0.01, epochs=2, batch_size=16, seed=3,
+                            emb_dim=6, mc_negatives=mc_negatives)
+        a = train(ds, cfg)
+        b = train(ds, cfg)
+        assert a.w_img.tobytes() == b.w_img.tobytes()
+        assert a.w_txt.tobytes() == b.w_txt.tobytes()
 
 
 def test_train_lr_zero_keeps_initialization():
