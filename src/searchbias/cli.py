@@ -300,6 +300,8 @@ def cmd_sweep_alpha(args):
     text_labels = load_labels(args.text_labels) if args.text_labels else None
     if args.epochs < 1:
         raise DataError("sweep-alpha needs --epochs >= 1")
+    if not 0.0 <= args.val_frac < 1.0:
+        raise DataError("val_frac must be in [0, 1)")
     # Each run is scored on the validation split, as train() rounds it.
     n_val = int(round(len(ds.texts) * args.val_frac))
     if n_val < 1:

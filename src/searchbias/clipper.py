@@ -14,26 +14,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataError, EmbeddingTable, GenderLabel
-
-_CLASS_INDEX = {GenderLabel.MALE: 0, GenderLabel.FEMALE: 1, GenderLabel.NEUTRAL: 2}
+from .core import _NUMBER_TYPES, DataError, EmbeddingTable, gender_codes
 
 
-def estimate_mi(column, genders, bins=20):
+def estimate_mi(column, codes, bins=20):
     """Plug-in mutual information (nats) between one real column and gender.
 
-    The column is discretized into `bins` equal-frequency bins by rank
-    (ties keep stable original order), then I = sum p(b,g) ln(p(b,g)/(p(b)p(g)))
-    over the joint histogram with the three gender classes. 0 ln 0 terms are
-    dropped and the result is clamped at 0. Rank binning makes the estimate
-    exactly invariant under strictly monotone transforms of the column.
+    `codes` holds each row's gender code (+1 Male, -1 Female, 0 Neutral, as
+    `gender_codes` returns them). The column is discretized into `bins`
+    equal-frequency bins by rank (ties keep stable original order), then
+    I = sum p(b,g) ln(p(b,g)/(p(b)p(g))) over the joint histogram with the
+    three gender classes. 0 ln 0 terms are dropped and the result is clamped
+    at 0. Rank binning makes the estimate exactly invariant under strictly
+    monotone transforms of the column.
     """
     column = np.asarray(column, dtype=np.float64)
+    codes = np.asarray(codes)
     if column.ndim != 1:
         raise DataError("column must be 1-d")
     n = column.shape[0]
-    if n != len(genders):
-        raise DataError(f"column has {n} values but {len(genders)} gender labels")
+    if codes.shape != (n,):
+        raise DataError(f"column has {n} values but codes have shape {codes.shape}")
+    if codes.dtype.kind != "i" or np.any((codes < -1) | (codes > 1)):
+        raise DataError("gender codes must be integers in {-1, 0, 1}")
     if bins < 1:
         raise DataError("bins must be >= 1")
     if n < bins:
@@ -47,11 +50,10 @@ def estimate_mi(column, genders, bins=20):
     order = np.argsort(column, kind="stable")
     bin_id = np.empty(n, dtype=np.int64)
     bin_id[order] = (np.arange(n, dtype=np.int64) * bins) // n
-    g_idx = np.fromiter((_CLASS_INDEX[g] for g in genders), dtype=np.int64, count=n)
-
-    joint = np.zeros((bins, 3), dtype=np.float64)
-    np.add.at(joint, (bin_id, g_idx), 1.0)
-    joint /= n
+    # The (bin, class) histogram, C-ordered with classes Male, Female,
+    # Neutral (codes +1, -1, 0): the order the sums below run in.
+    column = np.array([1, 2, 0])[codes + 1]
+    joint = np.bincount(bin_id * 3 + column, minlength=bins * 3).reshape(bins, 3) / n
     p_bin = joint.sum(axis=1, keepdims=True)
     p_gender = joint.sum(axis=0, keepdims=True)
     nz = joint > 0.0
@@ -68,13 +70,14 @@ class ClipPlan:
     clipped: list
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise DataError("plan dim must be >= 1")
+        # bool is a subclass of int; `type(...) is int` refuses it.
+        if type(self.dim) is not int or self.dim < 1:
+            raise DataError(f"plan dim must be an integer >= 1, got {self.dim!r}")
         if len(self.mi) != self.dim:
             raise DataError(f"plan has {len(self.mi)} scores for dim {self.dim}")
         seen = set()
         for z in self.clipped:
-            if not isinstance(z, int) or not 0 <= z < self.dim:
+            if type(z) is not int or not 0 <= z < self.dim:
                 raise DataError(f"clipped index {z!r} out of range [0, {self.dim})")
             if z in seen:
                 raise DataError(f"clipped index {z} repeated")
@@ -108,10 +111,16 @@ class ClipPlan:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DataError(f"invalid clip plan JSON ({exc.msg})") from None
+        if not isinstance(obj, dict):
+            raise DataError("clip plan JSON must be an object")
         for key in ("dim", "mi", "clipped"):
             if key not in obj:
                 raise DataError(f"clip plan JSON missing {key!r}")
-        plan = cls(dim=obj["dim"], mi=[float(x) for x in obj["mi"]], clipped=list(obj["clipped"]))
+        if not isinstance(obj["mi"], list) or not set(map(type, obj["mi"])) <= _NUMBER_TYPES:
+            raise DataError("clip plan 'mi' must be a list of numbers")
+        if not isinstance(obj["clipped"], list):
+            raise DataError("clip plan 'clipped' must be a list of dimension indices")
+        plan = cls(dim=obj["dim"], mi=[float(x) for x in obj["mi"]], clipped=obj["clipped"])
         if "m" in obj and obj["m"] != plan.m:
             raise DataError(f"clip plan m={obj['m']} disagrees with {plan.m} clipped indices")
         return plan
@@ -136,12 +145,8 @@ def fit_clip_plan(images, labels, m, bins=20):
         raise DataError(f"m must satisfy 0 <= m < dim ({m} vs dim {images.dim})")
     if len(images) == 0:
         raise DataError("cannot fit a clip plan on an empty table")
-    genders = []
-    for id_ in images.ids:
-        if id_ not in labels:
-            raise DataError(f"image {id_!r} has no gender label")
-        genders.append(labels[id_])
-    mi = [estimate_mi(images.vectors[:, d], genders, bins=bins) for d in range(images.dim)]
+    codes = gender_codes(images.ids, labels)
+    mi = [estimate_mi(images.vectors[:, d], codes, bins=bins) for d in range(images.dim)]
     # Stable argsort of -mi keeps ascending dimension index among ties.
     order = np.argsort(-np.asarray(mi), kind="stable")
     clipped = [int(d) for d in order[:m]]

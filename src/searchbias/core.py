@@ -20,9 +20,18 @@ class DataError(ValueError):
 
 
 class GenderLabel(Enum):
-    MALE = "male"
-    FEMALE = "female"
-    NEUTRAL = "neutral"
+    """An image's gender label. `code` is its integer form, the sign Bias@K
+    counts: +1 Male, -1 Female, 0 Neutral."""
+
+    MALE = "male", 1
+    FEMALE = "female", -1
+    NEUTRAL = "neutral", 0
+
+    def __new__(cls, value, code):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.code = code
+        return member
 
     @classmethod
     def parse(cls, value):
@@ -30,6 +39,17 @@ class GenderLabel(Enum):
             return cls(str(value).lower())
         except ValueError:
             raise DataError(f"unknown gender label {value!r} (expected male/female/neutral)") from None
+
+
+def gender_codes(ids, labels):
+    """The int8 code of each id's label in `labels`, in the order of `ids`.
+
+    Raises DataError naming the first id without a label.
+    """
+    try:
+        return np.fromiter((labels[id_].code for id_ in ids), dtype=np.int8, count=len(ids))
+    except KeyError as exc:
+        raise DataError(f"image {exc.args[0]!r} has no gender label") from None
 
 
 class EmbeddingTable:
@@ -253,9 +273,7 @@ class Dataset:
             raise DataError(
                 f"image dim {self.images.dim} != text dim {self.texts.dim}"
             )
-        for id_ in self.images.ids:
-            if id_ not in self.labels:
-                raise DataError(f"image {id_!r} has no gender label")
+        gender_codes(self.images.ids, self.labels)
         for tid, iid in self.truth.items():
             if iid not in self.images:
                 raise DataError(f"truth for text {tid!r} names unknown image {iid!r}")
@@ -302,22 +320,17 @@ def synth_dataset(
 
     u = rng.random(n_images)
     labels = {}
-    label_arr = []
     for i, id_ in enumerate(image_ids):
         if u[i] < p_neutral:
-            lab = GenderLabel.NEUTRAL
+            labels[id_] = GenderLabel.NEUTRAL
         elif u[i] < p_neutral + skew * (1.0 - p_neutral):
-            lab = GenderLabel.MALE
+            labels[id_] = GenderLabel.MALE
         else:
-            lab = GenderLabel.FEMALE
-        labels[id_] = lab
-        label_arr.append(lab)
+            labels[id_] = GenderLabel.FEMALE
 
     img = rng.standard_normal((n_images, dim))
     if bias_dims:
-        shift = np.array(
-            [mu if l is GenderLabel.MALE else -mu if l is GenderLabel.FEMALE else 0.0 for l in label_arr]
-        )
+        shift = float(mu) * gender_codes(image_ids, labels)
         for d in bias_dims:
             img[:, d] += shift
 

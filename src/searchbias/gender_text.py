@@ -137,9 +137,19 @@ class GenderLexicon:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DataError(f"invalid lexicon JSON ({exc.msg})") from None
+        if not isinstance(obj, dict):
+            raise DataError("lexicon JSON must be an object")
         for key in ("masculine", "feminine", "neutral", "replacement"):
             if key not in obj:
                 raise DataError(f"lexicon JSON missing {key!r}")
+        for key in ("masculine", "feminine", "neutral"):
+            if not isinstance(obj[key], list) or not all(isinstance(w, str) for w in obj[key]):
+                raise DataError(f"lexicon {key!r} must be a list of words")
+        repl = obj["replacement"]
+        if not isinstance(repl, dict) or not all(
+            v is None or isinstance(v, str) for v in repl.values()
+        ):
+            raise DataError("lexicon 'replacement' must map each word to a word or null")
         return cls(
             masculine=frozenset(obj["masculine"]),
             feminine=frozenset(obj["feminine"]),

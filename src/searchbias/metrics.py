@@ -14,10 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DataError, GenderLabel
+from .core import DataError, gender_codes
 from .retrieval import row_norms
-
-_CODES = {GenderLabel.MALE: 1, GenderLabel.FEMALE: -1}
 
 
 class UndefinedBiasError(DataError):
@@ -94,14 +92,17 @@ def metric_curve(results, k_max, labels=None, truth=None):
         raise DataError("no retrieval results to score")
     deltas = hits = None
     if labels is not None:
+        lengths = np.array([min(len(r.ranked), k_max) for r in results])
+        ranked = (image_id for r in results for image_id, _ in r.ranked[:k_max])
+        try:
+            flat = np.fromiter(
+                (labels[image_id].code for image_id in ranked), dtype=np.int8, count=lengths.sum()
+            )
+        except KeyError as exc:
+            raise DataError(f"retrieved image {exc.args[0]!r} has no gender label") from None
         codes = np.zeros((len(results), k_max), dtype=np.int8)
-        for q, r in enumerate(results):
-            row = []
-            for image_id, _ in r.ranked[:k_max]:
-                if image_id not in labels:
-                    raise DataError(f"retrieved image {image_id!r} has no gender label")
-                row.append(_CODES.get(labels[image_id], 0))
-            codes[q, : len(row)] = row
+        # A boolean mask assigns in row-major order: each row's ranked prefix.
+        codes[np.arange(k_max) < lengths[:, None]] = flat
         n_male = np.cumsum(codes == 1, axis=1)
         n_female = np.cumsum(codes == -1, axis=1)
         gendered = n_male + n_female
@@ -132,15 +133,8 @@ def recall_at_k(results, truth, k):
 
 def _class_means(images, labels):
     """Mean of the unit image rows of the Male class and of the Female class (2 x d)."""
-    weights = np.zeros((2, len(images)))
-    for row, image_id in enumerate(images.ids):
-        if image_id not in labels:
-            raise DataError(f"image {image_id!r} has no gender label")
-        lab = labels[image_id]
-        if lab is GenderLabel.MALE:
-            weights[0, row] = 1.0
-        elif lab is GenderLabel.FEMALE:
-            weights[1, row] = 1.0
+    codes = gender_codes(images.ids, labels)
+    weights = np.array([codes == 1, codes == -1], dtype=np.float64)
     counts = weights.sum(axis=1)
     if not counts.all():
         raise UndefinedBiasError("no Male or no Female images; similarity gap undefined")

@@ -12,7 +12,6 @@ they do not depend on the block size, the thread count or the BLAS build.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -24,20 +23,6 @@ from .core import DataError
 # per matrix product and the candidate pairs re-scored at a time, so memory
 # stays bounded by the block, never by queries x images or images x dim.
 _BLOCK_ENTRIES = 32768
-
-
-def cosine(v, c):
-    """Cosine similarity of two vectors, clamped to [-1, 1] against float drift."""
-    v = np.asarray(v, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    if v.shape != c.shape or v.ndim != 1:
-        raise DataError(f"cosine needs two equal-length vectors, got {v.shape} and {c.shape}")
-    nv2 = float(np.dot(v, v))
-    nc2 = float(np.dot(c, c))
-    if nv2 == 0.0 or nc2 == 0.0:
-        raise DataError("cosine undefined for a zero vector")
-    # One sqrt of the product keeps collinear pairs at exactly +-1.
-    return float(min(1.0, max(-1.0, float(np.dot(v, c)) / math.sqrt(nv2 * nc2))))
 
 
 @dataclass
@@ -105,7 +90,9 @@ def _rank_block(queries, qnorms, images, inorms, k):
     step = max(1, _BLOCK_ENTRIES // images.dim)
     for lo in range(0, len(qrow), step):
         q, i = qrow[lo : lo + step], irow[lo : lo + step]
-        # Division, not a reciprocal product, keeps collinear pairs at +-1.
+        # Unit vectors by division, one rounding per component. Scaling a
+        # vector by a power of two leaves its unit vector, so its scores,
+        # bit-identical; collinear pairs need not reach +-1 exactly.
         exact[lo : lo + step] = _row_dots(
             queries[q] / qnorms[q, None], vectors[i] / inorms[i, None]
         )

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DataError, Dataset, EmbeddingTable, GenderLabel
+from .core import DataError, Dataset, EmbeddingTable, gender_codes
 from .metrics import bias_at_k, recall_at_k
 from .retrieval import retrieve_all
 
@@ -40,12 +40,12 @@ class TrainerConfig:
     mc_negatives: bool = False
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise DataError("gamma must be > 0")
+        if not 0.0 < self.gamma < math.inf:
+            raise DataError("gamma must be finite and > 0")
         if not 0.0 <= self.alpha <= 1.0:
             raise DataError("alpha must be in [0, 1]")
-        if self.lr < 0:
-            raise DataError("lr must be >= 0")
+        if not 0.0 <= self.lr < math.inf:
+            raise DataError("lr must be finite and >= 0")
         if self.epochs < 0:
             raise DataError("epochs must be >= 0")
         if self.batch_size < 4:
@@ -69,54 +69,45 @@ class TrainerConfig:
 class TripletBatch:
     """A batch of positive (image, text) pairs with gender partitions.
 
-    `neutral_query[j]` marks texts that are gender-neutral queries (the fair
-    loss applies to them). Partitions hold row indices of the unique Male /
-    Female / Neutral images in the batch; a duplicated image contributes one
-    row, so expectations never double-count a negative.
+    `image_ids` names each pair's image by any values that compare by
+    equality (table rows, string ids); `genders` holds each image's gender
+    code (+1 Male, -1 Female, 0 Neutral). `neutral_query[j]` marks texts that
+    are gender-neutral queries (the fair loss applies to them). `male_rows`
+    and `female_rows` hold the first row of each unique Male / Female image,
+    ascending; a duplicated image contributes one row, so expectations never
+    double-count a negative. `image_index` numbers each row's image.
     """
 
     image_vecs: np.ndarray
     text_vecs: np.ndarray
-    image_ids: list
-    image_labels: list
+    image_ids: np.ndarray
+    genders: np.ndarray
     neutral_query: np.ndarray
-    male_rows: list = field(init=False)
-    female_rows: list = field(init=False)
-    neutral_rows: list = field(init=False)
-    codes: np.ndarray = field(init=False, repr=False)
+    male_rows: np.ndarray = field(init=False)
+    female_rows: np.ndarray = field(init=False)
+    image_index: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.image_ids)
         self.image_vecs = np.asarray(self.image_vecs, dtype=np.float64)
         self.text_vecs = np.asarray(self.text_vecs, dtype=np.float64)
+        self.genders = np.asarray(self.genders, dtype=np.int8)
         self.neutral_query = np.asarray(self.neutral_query, dtype=bool)
         if n == 0:
             raise DataError("empty batch")
         if (
             self.image_vecs.shape[0] != n
             or self.text_vecs.shape[0] != n
-            or len(self.image_labels) != n
+            or self.genders.shape != (n,)
             or self.neutral_query.shape[0] != n
         ):
             raise DataError("batch fields disagree on length")
-        code_of = {}
-        codes = np.empty(n, dtype=np.int64)
-        male, female, neutral = [], [], []
-        for i, id_ in enumerate(self.image_ids):
-            if id_ not in code_of:
-                code_of[id_] = len(code_of)
-                lab = self.image_labels[i]
-                if lab is GenderLabel.MALE:
-                    male.append(i)
-                elif lab is GenderLabel.FEMALE:
-                    female.append(i)
-                else:
-                    neutral.append(i)
-            codes[i] = code_of[id_]
-        self.male_rows = male
-        self.female_rows = female
-        self.neutral_rows = neutral
-        self.codes = codes
+        _, first, self.image_index = np.unique(
+            np.asarray(self.image_ids), return_index=True, return_inverse=True
+        )
+        first.sort()
+        self.male_rows = first[self.genders[first] == 1]
+        self.female_rows = first[self.genders[first] == -1]
 
     def __len__(self):
         return len(self.image_ids)
@@ -208,7 +199,7 @@ def _objective(batch, s, gamma, alpha, rng=None, mc_negatives=False):
     """
     n = len(batch)
     cols = np.arange(n)
-    valid = batch.codes[:, None] != batch.codes[None, :]
+    valid = batch.image_index[:, None] != batch.image_index[None, :]
     has_neg = valid.any(axis=0)  # valid is symmetric
     masked = np.where(valid, s, -np.inf)
     margin = gamma - np.diag(s)
@@ -308,28 +299,25 @@ def _loss_and_grad(batch, encoders, cfg, rng=None):
 
 
 def _build_pairs(dataset, text_labels=None):
-    """Assemble training pair arrays from a dataset, in text file order."""
-    img_rows = []
-    ids = []
-    labels = []
-    neutral = []
-    for tid in dataset.texts.ids:
-        if tid not in dataset.truth:
-            raise DataError(f"text {tid!r} has no ground-truth image for training")
-        iid = dataset.truth[tid]
-        img_rows.append(dataset.images.row_index(iid))
-        ids.append(iid)
-        labels.append(dataset.labels[iid])
-        if text_labels is not None:
-            if tid not in text_labels:
-                raise DataError(f"text {tid!r} missing from text labels")
-            neutral.append(text_labels[tid] is GenderLabel.NEUTRAL)
-        else:
-            # Without caption-level flags, a text is a neutral query iff its
-            # truth image is Neutral.
-            neutral.append(dataset.labels[iid] is GenderLabel.NEUTRAL)
-    image_vecs = dataset.images.vectors[np.asarray(img_rows, dtype=np.int64)]
-    return image_vecs, dataset.texts.vectors, ids, labels, np.asarray(neutral, dtype=bool)
+    """Training pair arrays in text file order: the image vectors, the image
+    rows, their gender codes and the neutral-query flags."""
+    text_ids = dataset.texts.ids
+    try:
+        truth = [dataset.truth[tid] for tid in text_ids]
+    except KeyError as exc:
+        raise DataError(f"text {exc.args[0]!r} has no ground-truth image for training") from None
+    rows = np.fromiter(map(dataset.images.row_index, truth), dtype=np.int64, count=len(truth))
+    genders = gender_codes(dataset.images.ids, dataset.labels)[rows]
+    if text_labels is None:
+        # Without caption-level flags, a text is a neutral query iff its
+        # truth image is Neutral.
+        neutral = genders == 0
+    else:
+        try:
+            neutral = np.array([text_labels[tid].code == 0 for tid in text_ids], dtype=bool)
+        except KeyError as exc:
+            raise DataError(f"text {exc.args[0]!r} missing from text labels") from None
+    return dataset.images.vectors[rows], rows, genders, neutral
 
 
 def train(dataset, cfg, text_labels=None, val_frac=0.1, on_epoch=None):
@@ -342,8 +330,9 @@ def train(dataset, cfg, text_labels=None, val_frac=0.1, on_epoch=None):
     """
     if not 0.0 <= val_frac < 1.0:
         raise DataError("val_frac must be in [0, 1)")
-    image_vecs, text_vecs, image_ids, image_labels, neutral = _build_pairs(dataset, text_labels)
-    n = len(image_ids)
+    image_vecs, rows, genders, neutral = _build_pairs(dataset, text_labels)
+    text_vecs = dataset.texts.vectors
+    n = len(rows)
     if n < 2:
         raise DataError("need at least 2 training pairs")
 
@@ -386,8 +375,8 @@ def train(dataset, cfg, text_labels=None, val_frac=0.1, on_epoch=None):
             batch = TripletBatch(
                 image_vecs=image_vecs[sel],
                 text_vecs=text_vecs[sel],
-                image_ids=[image_ids[int(i)] for i in sel],
-                image_labels=[image_labels[int(i)] for i in sel],
+                image_ids=rows[sel],
+                genders=genders[sel],
                 neutral_query=neutral[sel],
             )
             loss, d_img, d_txt = _loss_and_grad(batch, encoders, cfg, neg_rng)

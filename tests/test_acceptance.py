@@ -112,9 +112,10 @@ def test_criterion_3_mi_estimator_sanity():
     genders = [M if rng.random() < 0.5 else F for _ in range(n)]
     column = np.array([1.0 if g is M else -1.0 for g in genders])
     column += 1e-9 * rng.standard_normal(n)
-    determined = estimate_mi(column, genders)
+    codes = np.array([g.code for g in genders], dtype=np.int8)
+    determined = estimate_mi(column, codes)
     assert abs(determined - math.log(2)) < 0.01
-    permuted = [genders[i] for i in rng.permutation(n)]
+    permuted = codes[rng.permutation(n)]
     noise_mi = estimate_mi(column, permuted)
     assert noise_mi <= 0.02
     elapsed = time.monotonic() - start
@@ -226,7 +227,7 @@ def random_batch_and_encoders(seed):
         image_vecs=rng.standard_normal((n, d)),
         text_vecs=rng.standard_normal((n, d)),
         image_ids=[f"i{j}" for j in range(n)],
-        image_labels=[[M, F, N][int(g)] for g in rng.integers(0, 3, n)],
+        genders=[[M, F, N][int(g)].code for g in rng.integers(0, 3, n)],
         neutral_query=rng.random(n) < 0.5,
     )
     return batch, LinearEncoders.init(d, emb, rng)

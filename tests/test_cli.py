@@ -262,6 +262,36 @@ def test_sweep_alpha_rejects_an_empty_validation_split(data_dir, tmp_path):
     assert main([*base, "--val-frac", "0.005"]) == 0
 
 
+def test_non_finite_trainer_inputs_are_invalid(data_dir, tmp_path):
+    train = ["train", *dataset_args(data_dir), "--epochs", "1", "--batch-size", "32",
+             "--emb-dim", "6", "--out-dir", str(tmp_path)]
+    for flag, value in (("--lr", "nan"), ("--lr", "inf"), ("--gamma", "inf"), ("--gamma", "nan")):
+        assert main([*train, flag, value]) == 2, (flag, value)
+    assert not (tmp_path / "encoders.json").exists()
+    sweep = ["sweep-alpha", *dataset_args(data_dir), "--alphas", "0", "--epochs", "1",
+             "--batch-size", "32", "--emb-dim", "6", "--out-dir", str(tmp_path)]
+    for val_frac in ("nan", "inf", "-0.5", "1"):
+        assert main([*sweep, "--val-frac", val_frac]) == 2, val_frac
+
+
+def test_mistyped_plan_and_lexicon_files_are_invalid(data_dir, tmp_path):
+    plan = tmp_path / "plan.json"
+    images = str(data_dir / "images.jsonl")
+    for text in ("7", '{"dim": 12, "mi": [0.0], "clipped": []}',
+                 '{"dim": "12", "mi": [], "clipped": []}'):
+        plan.write_text(text)
+        assert main(["clip-apply", "--embeddings", images, "--plan", str(plan),
+                     "--out-dir", str(tmp_path)]) == 2
+        assert main(["evaluate", *dataset_args(data_dir), "--clip-plan", str(plan),
+                     "--out-dir", str(tmp_path)]) == 2
+    caps = tmp_path / "caps.jsonl"
+    caps.write_text('{"id": "c1", "image_id": "i1", "text": "A man"}\n')
+    lexicon = tmp_path / "lex.json"
+    lexicon.write_text('{"masculine": 1, "feminine": [], "neutral": [], "replacement": {}}')
+    assert main(["label", "--captions", str(caps), "--lexicon", str(lexicon),
+                 "--out-dir", str(tmp_path)]) == 2
+
+
 def test_sweep_m_first_row_matches_unclipped_eval(data_dir, tmp_path):
     eval_dir = tmp_path / "eval"
     assert main(["evaluate", *dataset_args(data_dir), "--out-dir", str(eval_dir)]) == 0

@@ -12,12 +12,16 @@ from searchbias.core import DataError, EmbeddingTable, GenderLabel
 M, F, N = GenderLabel.MALE, GenderLabel.FEMALE, GenderLabel.NEUTRAL
 
 
+def codes_of(genders):
+    return np.array([g.code for g in genders], dtype=np.int8)
+
+
 def test_mi_determined_binary_column():
     rng = np.random.default_rng(0)
     genders = [M if rng.random() < 0.5 else F for _ in range(10000)]
     column = np.array([1.0 if g is M else -1.0 for g in genders])
     column += 1e-6 * rng.standard_normal(10000)  # break exact ties across the bin edge
-    mi = estimate_mi(column, genders)
+    mi = estimate_mi(column, codes_of(genders))
     assert abs(mi - math.log(2)) < 0.01
 
 
@@ -26,23 +30,42 @@ def test_mi_permuted_labels_near_zero():
     genders = [M if rng.random() < 0.5 else F for _ in range(10000)]
     column = np.array([1.0 if g is M else -1.0 for g in genders])
     permuted = [genders[i] for i in rng.permutation(10000)]
-    assert estimate_mi(column, permuted) <= 0.02
+    assert estimate_mi(column, codes_of(permuted)) <= 0.02
 
 
 def test_mi_constant_column_is_zero():
-    genders = [M, F, M, F] * 10
+    genders = codes_of([M, F, M, F] * 10)
     assert estimate_mi(np.full(40, 3.25), genders) == 0.0
 
 
 def test_mi_nonnegative_on_noise():
     rng = np.random.default_rng(2)
-    genders = [[M, F, N][int(g)] for g in rng.integers(0, 3, 500)]
+    genders = codes_of([[M, F, N][int(g)] for g in rng.integers(0, 3, 500)])
     for _ in range(10):
         assert estimate_mi(rng.standard_normal(500), genders) >= 0.0
 
 
+def test_mi_matches_a_reference_histogram_bitwise():
+    """The joint histogram keeps its (bin, Male/Female/Neutral) layout, so the
+    sums run in the same order as a plain per-sample count and agree to the bit."""
+    rng = np.random.default_rng(8)
+    for n, bins in ((500, 20), (97, 7), (40, 40)):
+        genders = [[M, F, N][int(g)] for g in rng.integers(0, 3, n)]
+        column = rng.standard_normal(n) + 0.5 * codes_of(genders)
+        bin_id = np.empty(n, dtype=np.int64)
+        bin_id[np.argsort(column, kind="stable")] = (np.arange(n) * bins) // n
+        joint = np.zeros((bins, 3))
+        for b, g in zip(bin_id, genders):
+            joint[b, [M, F, N].index(g)] += 1.0
+        joint /= n
+        p = joint.sum(axis=1, keepdims=True) * joint.sum(axis=0, keepdims=True)
+        nz = joint > 0.0
+        want = max(float(np.sum(joint[nz] * np.log(joint[nz] / p[nz]))), 0.0)
+        assert estimate_mi(column, codes_of(genders), bins=bins) == want
+
+
 def test_mi_validation():
-    genders = [M, F, M, F]
+    genders = codes_of([M, F, M, F])
     with pytest.raises(DataError):
         estimate_mi(np.ones((2, 2)), genders)
     with pytest.raises(DataError):
@@ -53,6 +76,10 @@ def test_mi_validation():
         estimate_mi(np.ones(4), genders, bins=5)  # fewer samples than bins
     with pytest.raises(DataError):
         estimate_mi(np.array([1.0, np.nan, 0.0, 2.0]), genders)
+    with pytest.raises(DataError, match="codes"):
+        estimate_mi(np.arange(4.0), [M, F, M, F])  # labels, not codes
+    with pytest.raises(DataError, match="codes"):
+        estimate_mi(np.arange(4.0), [1, -1, 2, 0])
 
 
 def planted(seed, n=2000, dim=12, bias_dims=(3, 7)):
@@ -125,6 +152,24 @@ def test_plan_validation():
         ClipPlan(dim=3, mi=[0.1, 0.2, 0.3], clipped=[0, 0])
     with pytest.raises(DataError):
         ClipPlan.from_json('{"dim": 3, "mi": [1.0, 0.5, 0.1], "clipped": [0], "m": 2}')
+    # JSON of the wrong types, as a user's plan file may hold.
+    for text in (
+        "7",
+        '["dim"]',
+        '{"dim": 3, "mi": [1.0, 0.5, 0.1], "clipped": [true]}',
+        '{"dim": 3, "mi": [1.0, 0.5, 0.1], "clipped": [1.0]}',
+        '{"dim": 3, "mi": [1.0, 0.5, 0.1], "clipped": 1}',
+        '{"dim": 3, "mi": ["x", 0.5, 0.1], "clipped": []}',
+        '{"dim": 3, "mi": [null, 0.5, 0.1], "clipped": []}',
+        '{"dim": 3, "mi": 3, "clipped": []}',
+        '{"dim": "3", "mi": [1.0, 0.5, 0.1], "clipped": []}',
+        '{"dim": true, "mi": [1.0], "clipped": []}',
+    ):
+        with pytest.raises(DataError):
+            ClipPlan.from_json(text)
+    # The types a written plan holds still load: int dims, float or int scores.
+    plan = ClipPlan.from_json('{"dim": 3, "m": 1, "mi": [0.0, 1, 0.5], "clipped": [1]}')
+    assert plan == ClipPlan(dim=3, mi=[0.0, 1.0, 0.5], clipped=[1])
 
 
 def test_apply_clip_drops_exact_columns():

@@ -1,5 +1,6 @@
 """Data model, JSONL round-trips, and the synthetic benchmark generator."""
 
+import hashlib
 import json
 import math
 
@@ -11,6 +12,7 @@ from searchbias.core import (
     Dataset,
     EmbeddingTable,
     GenderLabel,
+    gender_codes,
     load_embeddings,
     load_labels,
     load_truth,
@@ -137,6 +139,18 @@ def test_gender_label_parse():
         GenderLabel.parse("other")
 
 
+def test_gender_codes_order_values_and_missing_label():
+    M, F, N = GenderLabel.MALE, GenderLabel.FEMALE, GenderLabel.NEUTRAL
+    assert (M.code, F.code, N.code) == (1, -1, 0)
+    labels = {"a": F, "b": N, "c": M}
+    codes = gender_codes(["c", "a", "b", "a"], labels)
+    assert codes.dtype == np.int8
+    assert codes.tolist() == [1, -1, 0, -1]
+    assert gender_codes((), labels).shape == (0,)
+    with pytest.raises(DataError, match="image 'x' has no gender label"):
+        gender_codes(["a", "x", "y"], labels)
+
+
 def test_dataset_validation():
     images = EmbeddingTable(["i1", "i2"], [[1.0, 0.0], [0.0, 1.0]])
     texts = EmbeddingTable(["t1"], [[1.0, 1.0]])
@@ -157,6 +171,29 @@ def test_synth_is_deterministic():
     assert a.labels == b.labels and a.truth == b.truth
     c = synth_dataset(12, 50, 30, 8, [0], skew=0.6)
     assert c.images != a.images
+
+
+def test_synth_saved_files_are_pinned(tmp_path):
+    """The saved bytes at one small shape with planted dims stay fixed.
+
+    The benchmark draws every workload's inputs from synth_dataset, so any
+    drift here would change the benchmark's inputs without notice.
+    """
+    ds = synth_dataset(11, 60, 25, 6, bias_dims=(1, 4), skew=0.6, p_neutral=0.25, mu=1.5)
+    save_embeddings(ds.images, tmp_path / "images")
+    save_embeddings(ds.texts, tmp_path / "texts")
+    save_labels(ds.labels, tmp_path / "labels")
+    save_truth(ds.truth, tmp_path / "truth")
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("images", "texts", "labels", "truth")
+    }
+    assert digests == {
+        "images": "0244fc512f5aa6958c69420292b8e65cff179a73a074ff596da114ce16c49bcf",
+        "texts": "51f2ed8f2741bca89d28c69dcca93519b44994d0aa881c1802f317588c923b81",
+        "labels": "4edc73872e64131f98bae6b1e4b51dd5da6fd9bbdbe62b405b5647a42113bca6",
+        "truth": "bba08f585ade55d1ad4ab8780ff2c4c28f73d41ae437d164db9b672f7b6367ec",
+    }
 
 
 def test_synth_label_distribution():

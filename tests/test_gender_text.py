@@ -140,6 +140,22 @@ def test_lexicon_round_trip_and_validation(tmp_path):
             replacement={"woman": "person"},  # key outside the gendered sets
         )
 
+    # JSON of the wrong types, as a user's lexicon file may hold.
+    good = {"masculine": ["king"], "feminine": ["queen"], "neutral": [], "replacement": {}}
+    assert GenderLexicon.from_json(json.dumps(good)).masculine == frozenset({"king"})
+    for bad in (
+        7,
+        ["masculine"],
+        {**good, "masculine": 1},
+        {**good, "masculine": "king"},
+        {**good, "feminine": [1]},
+        {**good, "neutral": None},
+        {**good, "replacement": ["king"]},
+        {**good, "replacement": {"king": 3}},
+    ):
+        with pytest.raises(DataError):
+            GenderLexicon.from_json(json.dumps(bad))
+
 
 def fuzz_corpus(n, seed):
     """Random sentences mixing gendered, neutral, and filler vocabulary."""

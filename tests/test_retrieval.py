@@ -1,4 +1,4 @@
-"""Cosine scoring and exhaustive top-k retrieval against a brute-force oracle."""
+"""Exhaustive cosine top-k retrieval against a brute-force oracle."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 
 from searchbias import retrieval
 from searchbias.core import DataError, EmbeddingTable
-from searchbias.retrieval import cosine, retrieve_all, retrieve_topk
+from searchbias.retrieval import retrieve_all, retrieve_topk
 
 
 def oracle_topk(query, images, k):
@@ -24,20 +24,19 @@ def oracle_topk(query, images, k):
     return [iid for _, _, iid in scored[:k]]
 
 
-def test_cosine_basics():
-    assert cosine([1.0, 0.0], [1.0, 0.0]) == 1.0
-    assert cosine([1.0, 0.0], [0.0, 1.0]) == 0.0
-    assert cosine([1.0, 1.0], [2.0, 2.0]) == 1.0
-    assert cosine([1.0, 0.0], [-1.0, 0.0]) == -1.0
-    with pytest.raises(DataError):
-        cosine([0.0, 0.0], [1.0, 0.0])
-    with pytest.raises(DataError):
-        cosine([1.0], [1.0, 0.0])
-
-
 def test_cosine_stays_clamped():
-    v = [0.1234567891234] * 9
-    assert cosine(v, v) <= 1.0
+    """A vector against itself and scaled copies scores within [-1, 1].
+
+    Unclamped, the kernel gives this vector +-1.0000000000000002 against
+    every one of these copies.
+    """
+    v = np.full(9, 0.1234567891234)
+    scales = [1.0, 2.0, 0.5, 3.0, 1e-3, -1.0, -7.0]
+    images = EmbeddingTable([f"x{i}" for i in range(len(scales))], [c * v for c in scales])
+    for query in (v, -v, 4.0 * v):
+        scores = [s for _, s in retrieve_topk(query, images, k=len(scales)).ranked]
+        assert all(-1.0 <= s <= 1.0 for s in scores)
+        assert sorted(map(abs, scores)) == [1.0] * len(scales)
 
 
 def test_topk_exact_example():

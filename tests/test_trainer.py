@@ -22,6 +22,10 @@ from searchbias.trainer import (
 M, F, N = GenderLabel.MALE, GenderLabel.FEMALE, GenderLabel.NEUTRAL
 
 
+def codes_of(genders):
+    return np.array([g.code for g in genders], dtype=np.int8)
+
+
 def random_batch(seed, n=10, d=6, p_neutral=0.5, dup_images=False):
     rng = np.random.default_rng(seed)
     ids = [f"img{i}" for i in range(n)]
@@ -38,7 +42,7 @@ def random_batch(seed, n=10, d=6, p_neutral=0.5, dup_images=False):
         image_vecs=rng.standard_normal((n, d)),
         text_vecs=rng.standard_normal((n, d)),
         image_ids=ids,
-        image_labels=labels,
+        genders=codes_of(labels),
         neutral_query=rng.random(n) < p_neutral,
     )
 
@@ -53,7 +57,7 @@ def fair_sweep_batch(seed, n=64, d=6):
         image_vecs=pool[rows],
         text_vecs=rng.standard_normal((n, d)),
         image_ids=[f"img{int(i)}" for i in rows],
-        image_labels=[[M, F, N][int(genders[i])] for i in rows],
+        genders=codes_of([[M, F, N][int(genders[i])] for i in rows]),
         neutral_query=np.ones(n, dtype=bool),
     )
 
@@ -67,7 +71,7 @@ def exclusion_fallback_batch(seed, d=6):
         image_vecs=rng.standard_normal((6, d))[rows],
         text_vecs=rng.standard_normal((8, d)),
         image_ids=["f", "f", "m1", "m2", "m3", "n1", "m1", "n2"],
-        image_labels=[F, F, M, M, M, N, M, N],
+        genders=codes_of([F, F, M, M, M, N, M, N]),
         neutral_query=np.ones(8, dtype=bool),
     )
 
@@ -232,10 +236,39 @@ def test_loss_invariant_under_batch_permutation():
             image_vecs=batch.image_vecs[perm],
             text_vecs=batch.text_vecs[perm],
             image_ids=[batch.image_ids[int(i)] for i in perm],
-            image_labels=[batch.image_labels[int(i)] for i in perm],
+            genders=batch.genders[perm],
             neutral_query=batch.neutral_query[perm],
         )
         assert total_loss(shuffled, enc, cfg) == pytest.approx(base, abs=1e-12)
+
+
+def test_int_rows_and_string_ids_build_the_same_batch():
+    """`train` names images by table row, tests by string id: same partitions, same bits."""
+    rng = np.random.default_rng(21)
+    n, d = 48, 6
+    rows = rng.integers(0, 30, n)  # 30 images, so ids repeat
+    pool = rng.standard_normal((30, d))
+    genders = np.array([1, -1, 0], dtype=np.int8)[rng.integers(0, 3, 30)][rows]
+    fields = dict(
+        image_vecs=pool[rows],
+        text_vecs=rng.standard_normal((n, d)),
+        genders=genders,
+        neutral_query=rng.random(n) < 0.7,
+    )
+    by_row = TripletBatch(image_ids=rows, **fields)
+    by_id = TripletBatch(image_ids=[f"img{r}" for r in rows], **fields)
+    # The first row of each image, ascending, split by gender.
+    first = sorted({r: i for i, r in reversed(list(enumerate(rows.tolist())))}.values())
+    for batch in (by_row, by_id):
+        assert batch.male_rows.tolist() == [i for i in first if genders[i] == 1]
+        assert batch.female_rows.tolist() == [i for i in first if genders[i] == -1]
+    enc = random_encoders(21)
+    for mc in (False, True):
+        cfg = TrainerConfig(gamma=0.3, alpha=0.6, epochs=1, mc_negatives=mc)
+        loss_a, img_a, txt_a = _loss_and_grad(by_row, enc, cfg, np.random.default_rng(5))
+        loss_b, img_b, txt_b = _loss_and_grad(by_id, enc, cfg, np.random.default_rng(5))
+        assert loss_a == loss_b
+        assert img_a.tobytes() == img_b.tobytes() and txt_a.tobytes() == txt_b.tobytes()
 
 
 def test_own_image_never_a_negative():
@@ -245,7 +278,7 @@ def test_own_image_never_a_negative():
         image_vecs=[vec, vec, [0.0, 1.0, 0.0]],
         text_vecs=[[1.0, 0.1, 0.0], [1.0, -0.1, 0.0], [0.0, 1.0, 0.5]],
         image_ids=["shared", "shared", "other"],
-        image_labels=[M, M, F],
+        genders=codes_of([M, M, F]),
         neutral_query=[False, False, False],
     )
     enc = LinearEncoders(w_img=np.eye(3), w_txt=np.eye(3))
@@ -263,7 +296,7 @@ def test_batch_of_one_has_no_negatives():
         image_vecs=[[1.0, 0.0]],
         text_vecs=[[1.0, 0.0]],
         image_ids=["a"],
-        image_labels=[M],
+        genders=codes_of([M]),
         neutral_query=[True],
     )
     enc = LinearEncoders(w_img=np.eye(2), w_txt=np.eye(2))
@@ -277,7 +310,7 @@ def test_all_same_image_batch_has_zero_loss():
         image_vecs=[vec, vec, vec],
         text_vecs=np.random.default_rng(0).standard_normal((3, 2)),
         image_ids=["a", "a", "a"],
-        image_labels=[M, M, M],
+        genders=codes_of([M, M, M]),
         neutral_query=[True, True, True],
     )
     enc = LinearEncoders(w_img=np.eye(2), w_txt=np.eye(2))
@@ -291,7 +324,7 @@ def test_fair_falls_back_without_both_partitions():
         image_vecs=rng.standard_normal((5, 4)),
         text_vecs=rng.standard_normal((5, 4)),
         image_ids=[f"i{j}" for j in range(5)],
-        image_labels=[M, M, N, N, M],  # no Female image anywhere
+        genders=codes_of([M, M, N, N, M]),  # no Female image anywhere
         neutral_query=[True] * 5,
     )
     enc = random_encoders(11, d=4)
@@ -304,7 +337,7 @@ def test_mc_negatives_deterministic_and_unbiased():
         image_vecs=rng0.standard_normal((10, 6)),
         text_vecs=rng0.standard_normal((10, 6)),
         image_ids=[f"i{j}" for j in range(10)],
-        image_labels=[M, M, M, F, F, F, N, N, M, F],
+        genders=codes_of([M, M, M, F, F, F, N, N, M, F]),
         neutral_query=[True] * 10,
     )
     enc = random_encoders(13)
@@ -338,6 +371,11 @@ def test_trainer_config_validation_and_round_trip():
         TrainerConfig(alpha=1.5)
     with pytest.raises(DataError):
         TrainerConfig(lr=-0.1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DataError, match="gamma"):
+            TrainerConfig(gamma=bad)
+        with pytest.raises(DataError, match="lr"):
+            TrainerConfig(lr=bad)
     with pytest.raises(DataError):
         TrainerConfig(batch_size=2)
     with pytest.raises(DataError):
