@@ -13,6 +13,7 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 
 class DataError(ValueError):
@@ -131,15 +132,20 @@ class EmbeddingTable:
 
 
 def _parse_jsonl(path):
-    """Yield (line_number, parsed_object) for every non-empty line of `path`."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Yield (line_number, parsed_object) for every non-empty line of `path`.
+
+    Lines are strict JSON (RFC 8259), decoded by orjson. Bytes that are not
+    UTF-8 become lone surrogates, which orjson refuses, so they are reported
+    as invalid JSON at their own line, in file order with every other error.
+    """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+                obj = orjson.loads(line)
+            except orjson.JSONDecodeError as exc:
                 raise DataError(f"{path}, line {lineno}: invalid JSON ({exc.msg})") from None
             if not isinstance(obj, dict):
                 raise DataError(f"{path}, line {lineno}: expected a JSON object")
@@ -149,56 +155,81 @@ def _parse_jsonl(path):
 _NUMBER_TYPES = frozenset((int, float))
 
 
+def _check_rows(path, rows, linenos, ids):
+    """Raise DataError for the first row of `rows` that is non-finite or all zero.
+
+    Within one row a non-finite component is reported before an all-zero row.
+    """
+    finite = np.isfinite(rows).all(axis=1)
+    ok = finite & rows.any(axis=1)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        problem = "all-zero vector" if finite[i] else "non-finite vector component"
+        raise DataError(f"{path}, line {linenos[i]} (id {ids[i]!r}): {problem}")
+
+
 def load_embeddings(path, expected_dim=None):
     """Load an embedding table from JSONL.
 
     Each line is {"id": str, "vector": [float, ...]}. A leading {"dim": d}
     header line is accepted (written by save_embeddings for empty tables).
-    Errors name the offending line and id.
+    Errors name the offending line and id; the first bad line is reported.
     """
     ids = []
+    linenos = []
     seen = set()
     # Rows packed end to end; the table is a view of this buffer, so loading
     # holds one copy of the vectors rather than a list of rows plus a stack.
     packed = array("d")
     header_dim = None
-    for lineno, obj in _parse_jsonl(path):
-        if lineno == 1 and "dim" in obj and "id" not in obj:
-            if not isinstance(obj["dim"], int) or obj["dim"] < 1:
-                raise DataError(f"{path}, line 1: header dim must be a positive integer")
-            header_dim = obj["dim"]
-            continue
-        if "id" not in obj or "vector" not in obj:
-            raise DataError(f"{path}, line {lineno}: record needs 'id' and 'vector' keys")
-        id_, vec = obj["id"], obj["vector"]
-        if not isinstance(id_, str) or not id_:
-            raise DataError(f"{path}, line {lineno}: id must be a non-empty string")
-        # JSON numbers parse to exactly int or float; bool, a subclass of int, is refused.
-        if not isinstance(vec, list) or not vec or not set(map(type, vec)) <= _NUMBER_TYPES:
-            raise DataError(f"{path}, line {lineno} (id {id_!r}): vector must be a non-empty list of numbers")
-        row = np.asarray(vec, dtype=np.float64)
-        if not np.all(np.isfinite(row)):
-            raise DataError(f"{path}, line {lineno} (id {id_!r}): non-finite vector component")
-        if not row.any():
-            raise DataError(f"{path}, line {lineno} (id {id_!r}): all-zero vector")
-        want = expected_dim if expected_dim is not None else header_dim
-        if want is None and ids:
-            want = len(packed) // len(ids)
-        if want is not None and row.shape[0] != want:
-            raise DataError(
-                f"{path}, line {lineno} (id {id_!r}): dimension mismatch, got {row.shape[0]}, expected {want}"
-            )
-        if id_ in seen:
-            raise DataError(f"{path}, line {lineno}: duplicate id {id_!r}")
-        seen.add(id_)
-        ids.append(id_)
-        packed.frombytes(row.tobytes())
+    error = None
+    try:
+        for lineno, obj in _parse_jsonl(path):
+            if lineno == 1 and "dim" in obj and "id" not in obj:
+                if not isinstance(obj["dim"], int) or obj["dim"] < 1:
+                    raise DataError(f"{path}, line 1: header dim must be a positive integer")
+                header_dim = obj["dim"]
+                continue
+            if "id" not in obj or "vector" not in obj:
+                raise DataError(f"{path}, line {lineno}: record needs 'id' and 'vector' keys")
+            id_, vec = obj["id"], obj["vector"]
+            if not isinstance(id_, str) or not id_:
+                raise DataError(f"{path}, line {lineno}: id must be a non-empty string")
+            # JSON numbers parse to exactly int or float; bool, a subclass of int, is refused.
+            if not isinstance(vec, list) or not vec or not set(map(type, vec)) <= _NUMBER_TYPES:
+                raise DataError(f"{path}, line {lineno} (id {id_!r}): vector must be a non-empty list of numbers")
+            want = expected_dim if expected_dim is not None else header_dim
+            if want is None and ids:
+                want = len(packed) // len(ids)
+            wrong_dim = want is not None and len(vec) != want
+            if wrong_dim or id_ in seen:
+                # A row's own values are checked before its dimension and id.
+                _check_rows(path, np.array([vec], dtype=np.float64), [lineno], [id_])
+            if wrong_dim:
+                raise DataError(
+                    f"{path}, line {lineno} (id {id_!r}): dimension mismatch, got {len(vec)}, expected {want}"
+                )
+            if id_ in seen:
+                raise DataError(f"{path}, line {lineno}: duplicate id {id_!r}")
+            seen.add(id_)
+            ids.append(id_)
+            linenos.append(lineno)
+            packed.fromlist(vec)
+    except DataError as exc:
+        error = exc
+    if ids:
+        vectors = np.frombuffer(packed, dtype=np.float64).reshape(len(ids), -1)
+        # The rows read are checked as one matrix, and before a per-line
+        # error: a bad row on an earlier line is still the first error.
+        _check_rows(path, vectors, linenos, ids)
+    if error is not None:
+        raise error
     if not ids:
         dim = expected_dim if expected_dim is not None else header_dim
         if dim is None:
             raise DataError(f"{path}: empty table without a dim header")
         return EmbeddingTable([], np.empty((0, dim)))
-    return EmbeddingTable(ids, np.frombuffer(packed, dtype=np.float64).reshape(len(ids), -1))
+    return EmbeddingTable(ids, vectors)
 
 
 def save_embeddings(table, path):

@@ -292,6 +292,34 @@ def test_mistyped_plan_and_lexicon_files_are_invalid(data_dir, tmp_path):
                  "--out-dir", str(tmp_path)]) == 2
 
 
+def test_undecodable_and_out_of_range_inputs_are_invalid(data_dir, tmp_path, capsys):
+    ok = tmp_path / "ok.jsonl"
+    ok.write_text('{"id": "a", "vector": [1.0, 2.0]}\n')
+    latin1 = tmp_path / "latin1.jsonl"
+    huge = tmp_path / "huge.jsonl"
+    for path, line in (
+        (latin1, '{"id": "caf\xe9", "vector": [1.0, 2.0]}\n'.encode("latin-1")),
+        (huge, ('{"id": "b", "vector": [1' + "0" * 400 + ', 2.0]}\n').encode()),
+    ):
+        path.write_bytes(b'{"id": "a", "vector": [1.0, 2.0]}\n' + line)
+        assert main(["retrieve", "--images", str(path), "--texts", str(ok),
+                     "--out-dir", str(tmp_path)]) == 2
+        assert f"{path}, line 2: invalid JSON" in capsys.readouterr().err
+
+    labels = tmp_path / "labels.jsonl"
+    labels.write_bytes((data_dir / "labels.jsonl").read_bytes() + '{"id": "\xe9", "gender": "male"}\n'.encode("latin-1"))
+    args = dataset_args(data_dir)
+    args[args.index("--labels") + 1] = str(labels)
+    assert main(["evaluate", *args, "--out-dir", str(tmp_path)]) == 2
+    assert f"{labels}, line 201: invalid JSON" in capsys.readouterr().err
+
+    caps = tmp_path / "caps.jsonl"
+    caps.write_bytes(b'{"id": "c1", "image_id": "i1", "text": "A man"}\n'
+                     + '{"id": "c2", "image_id": "i1", "text": "A caf\xe9"}\n'.encode("latin-1"))
+    assert main(["label", "--captions", str(caps), "--out-dir", str(tmp_path)]) == 2
+    assert f"{caps}, line 2: invalid JSON" in capsys.readouterr().err
+
+
 def test_sweep_m_first_row_matches_unclipped_eval(data_dir, tmp_path):
     eval_dir = tmp_path / "eval"
     assert main(["evaluate", *dataset_args(data_dir), "--out-dir", str(eval_dir)]) == 0

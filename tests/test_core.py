@@ -21,6 +21,7 @@ from searchbias.core import (
     save_truth,
     synth_dataset,
 )
+from searchbias.gender_text import load_captions
 
 
 def small_table():
@@ -105,6 +106,95 @@ def test_load_embeddings_error_reporting(tmp_path):
     path.write_text('{"id": "a", "vector": [3.0]}\n')
     with pytest.raises(DataError, match="dim"):
         load_embeddings(path, expected_dim=2)
+
+    good = '{"id": "a", "vector": [1.0, 2.0]}\n'
+    zero = '{"id": "z", "vector": [0.0, 0]}\n'
+    # Strict JSON: non-standard literals, numbers beyond the double range and
+    # unpaired surrogate escapes are invalid JSON at their own line.
+    for bad_line in (
+        '{"id": "b", "vector": [1.0, NaN]}',
+        '{"id": "b", "vector": [Infinity, 1.0]}',
+        '{"id": "b", "vector": [-Infinity, 1.0]}',
+        '{"id": "b", "vector": [1e400, 1.0]}',
+        '{"id": "b", "vector": [1' + "0" * 400 + ', 1.0]}',
+        '{"id": "\\ud800", "vector": [1.0, 2.0]}',
+    ):
+        path.write_text(good + bad_line + "\n")
+        with pytest.raises(DataError, match="line 2: invalid JSON"):
+            load_embeddings(path)
+
+    # The first bad line in file order is reported, whatever kind each error is.
+    for text, message in (
+        (good + zero + '{"id": "b", "vector": [1.0]}\n', "line 2 \\(id 'z'\\): all-zero"),
+        (good + '{"id": "b", "vector": [1.0]}\n' + zero, "line 2 \\(id 'b'\\): dimension mismatch"),
+        (good + '{"id": "a", "vector": [0.0, 0.0]}\n', "line 2 \\(id 'a'\\): all-zero"),
+        (good + zero + '{"id": "b", "vector": [1.0, true]}\n', "line 2 \\(id 'z'\\): all-zero"),
+        (good + zero + "not json\n", "line 2 \\(id 'z'\\): all-zero"),
+        (good + '{"id": "b", "vector": [0.0]}\n', "line 2 \\(id 'b'\\): all-zero"),
+        (good + good + zero, "line 2: duplicate id 'a'"),
+    ):
+        path.write_text(text)
+        with pytest.raises(DataError, match=message):
+            load_embeddings(path)
+
+
+def _json_reference_table(path):
+    """The table the stdlib decoder gives: json.loads, then np.asarray per row."""
+    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    return [r["id"] for r in rows], np.array([np.asarray(r["vector"], np.float64) for r in rows])
+
+
+def test_load_embeddings_matches_the_stdlib_decoder_bitwise(tmp_path):
+    traps = [
+        "-0", "-0.0", "0", "5e-324", "2.2250738585072011e-308", "2.2250738585072014e-308",
+        "9007199254740993", "1e23", "18446744073709551615", "18446744073709551616",
+        "9223372036854775807", "-9223372036854775809", str(10**300), "-" + str(10**300),
+        "1.7976931348623157e308", "0.30000000000000004", "1.0000000000000002",
+        "12345678901234567", "1E-05", "1e+16", "1e-7", "4.9406564584124654e-324",
+    ]
+    rng = np.random.default_rng(20)
+    bits = rng.integers(0, 2**64, size=3000, dtype=np.uint64).view(np.float64)
+    randoms = [repr(float(x)) for x in bits[np.isfinite(bits)]]
+    for _ in range(3000):
+        digits = "".join(map(str, rng.integers(0, 10, size=int(rng.integers(1, 41)))))
+        if rng.random() < 0.5:
+            text = digits.lstrip("0") or "0"
+        else:
+            text = f"{digits[:1]}.{digits[1:] or '0'}e{int(rng.integers(-340, 308))}"
+        randoms.append(("-" if rng.random() < 0.3 else "") + text)
+    numbers = traps + randoms
+    path = tmp_path / "traps.jsonl"
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(0, len(numbers), 8):
+            chunk = (numbers[i:i + 8] + ["1.5"] * 8)[:8]
+            # A leading 1 keeps every row from being all zero.
+            fh.write('{"id": "r%d", "vector": [1, %s]}\n' % (i, ", ".join(chunk)))
+    ids, want = _json_reference_table(path)
+    got = load_embeddings(path)
+    assert got.ids == tuple(ids)
+    assert got.vectors.tobytes() == want.tobytes()
+    assert np.signbit(got.vectors[0, 1:4]).tolist() == [False, True, False]  # -0 is the integer 0
+
+
+def test_string_fields_match_the_stdlib_decoder(tmp_path):
+    # JSON escapes for é, a quote, a backslash and a surrogate pair, beside raw UTF-8.
+    names = ["caf\\u00e9", "thé", 'say \\"hi\\"', "back\\\\slash", "\\ud83d\\ude00", "😀 \\u00a0x"]
+    labels, truth, captions = tmp_path / "labels.jsonl", tmp_path / "truth.jsonl", tmp_path / "caps.jsonl"
+    labels.write_text("".join(f'{{"id": "{n}", "gender": "male"}}\n' for n in names), encoding="utf-8")
+    truth.write_text("".join(f'{{"text_id": "t{n}", "image_id": "{n}"}}\n' for n in names), encoding="utf-8")
+    captions.write_text(
+        "".join(f'{{"id": "c{n}", "image_id": "{n}", "text": "A {n}"}}\n' for n in names), encoding="utf-8"
+    )
+
+    def reference(path):
+        return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+    assert load_labels(labels) == {r["id"]: GenderLabel.MALE for r in reference(labels)}
+    assert load_truth(truth) == {r["text_id"]: r["image_id"] for r in reference(truth)}
+    assert [(c.id, c.image_id, c.text) for c in load_captions(captions)] == [
+        (r["id"], r["image_id"], r["text"]) for r in reference(captions)
+    ]
+    assert "😀" in load_truth(truth).values()
 
 
 def test_labels_round_trip_and_errors(tmp_path):

@@ -1,0 +1,36 @@
+"""The package declares every third-party module it imports."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def imported_top_level_modules(package_dir):
+    modules = set()
+    for path in sorted(package_dir.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules.add(node.module.split(".")[0])
+    return modules
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    declared = {
+        re.match(r"[A-Za-z0-9._-]+", req).group(0).lower().replace("-", "_")
+        for req in project["dependencies"]
+    }
+    imported = imported_top_level_modules(ROOT / "src" / project["name"])
+    third_party = imported - set(sys.stdlib_module_names) - {project["name"]}
+    assert "numpy" in third_party  # the scan sees the package's imports
+    assert third_party <= declared, f"imported but not in [project] dependencies: {sorted(third_party - declared)}"
