@@ -10,6 +10,7 @@ import json
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -186,7 +187,8 @@ def load_embeddings(path, expected_dim=None):
     try:
         for lineno, obj in _parse_jsonl(path):
             if lineno == 1 and "dim" in obj and "id" not in obj:
-                if not isinstance(obj["dim"], int) or obj["dim"] < 1:
+                # bool, a subclass of int, is refused.
+                if type(obj["dim"]) is not int or obj["dim"] < 1:
                     raise DataError(f"{path}, line 1: header dim must be a positive integer")
                 header_dim = obj["dim"]
                 continue
@@ -232,17 +234,38 @@ def load_embeddings(path, expected_dim=None):
     return EmbeddingTable(ids, vectors)
 
 
+def _json_str(text):
+    """The bytes `json.dumps` writes for a string: ASCII, with \\uXXXX escapes."""
+    return encode_basestring_ascii(text).encode("ascii")
+
+
+def _json_floats(vec):
+    """The bytes `json.dumps(vec.tolist())` writes for one row of floats.
+
+    orjson prints the same shortest round-trip digits as `float.__repr__`.
+    The two differ only where orjson writes an exponent (`1e16` for
+    `1e+16`, `9.99e-6` for `9.99e-06`) or a fixed-point number below 1e-4
+    (`0.00001` for `1e-05`); a row whose bytes hold either is left to json.
+    """
+    row = vec.tolist()  # orjson refuses numpy rows that are not C-contiguous
+    text = orjson.dumps(row)
+    if b"e" in text or b"0.0000" in text:
+        return json.dumps(row).encode("ascii")
+    return text.replace(b",", b", ")
+
+
 def save_embeddings(table, path):
     """Write a table as JSONL; round-trip load reproduces it exactly.
 
-    Floats are serialized with repr (shortest round-trip form), so every
-    component reloads bit-identical. Empty tables get a {"dim": d} header.
+    Each line holds the bytes `json.dumps({"id": ..., "vector": ...})` gives:
+    floats in their repr (shortest round-trip) form, so every component
+    reloads bit-identical. Empty tables get a {"dim": d} header.
     """
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         if len(table) == 0:
-            fh.write(json.dumps({"dim": table.dim}) + "\n")
+            fh.write(b'{"dim": %d}\n' % table.dim)
         for id_, vec in table.records():
-            fh.write(json.dumps({"id": id_, "vector": vec.tolist()}) + "\n")
+            fh.write(b'{"id": %s, "vector": %s}\n' % (_json_str(id_), _json_floats(vec)))
 
 
 def load_labels(path):
@@ -264,9 +287,9 @@ def load_labels(path):
 
 
 def save_labels(labels, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         for id_, label in labels.items():
-            fh.write(json.dumps({"id": id_, "gender": label.value}) + "\n")
+            fh.write(b'{"id": %s, "gender": %s}\n' % (_json_str(id_), _json_str(label.value)))
 
 
 def load_truth(path):
@@ -285,9 +308,9 @@ def load_truth(path):
 
 
 def save_truth(truth, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         for tid, iid in truth.items():
-            fh.write(json.dumps({"text_id": tid, "image_id": iid}) + "\n")
+            fh.write(b'{"text_id": %s, "image_id": %s}\n' % (_json_str(tid), _json_str(iid)))
 
 
 @dataclass

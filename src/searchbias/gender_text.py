@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .core import DataError, GenderLabel, _parse_jsonl
+from .core import DataError, GenderLabel, _json_str, _parse_jsonl
 
 _WORD_RE = re.compile(r"[A-Za-z]+")
 
@@ -86,7 +86,7 @@ _VOWELS = "aeiou"
 
 def tokenize(text):
     """Lowercased alphabetic tokens of `text`."""
-    return [m.group().lower() for m in _WORD_RE.finditer(text)]
+    return [word.lower() for word in _WORD_RE.findall(text)]
 
 
 @dataclass(frozen=True)
@@ -115,6 +115,14 @@ class GenderLexicon:
                 raise DataError(f"replacement key {key!r} is not a gendered word")
             if value is not None and (not value or set(tokenize(value)) & gendered):
                 raise DataError(f"replacement target {value!r} for {key!r} is itself gendered")
+        object.__setattr__(self, "_gendered", gendered)
+        # Prefilter: a gendered token lowercased is a substring of the
+        # lowercased text, so a text this misses has no gendered token.
+        # "men" stands for the phrase rule, which runs under any lexicon.
+        # Tokens are still read from the original text: str.lower() can turn
+        # a non-ASCII letter into an ASCII one (the Kelvin sign into "k").
+        words = sorted(gendered | {"men"})
+        object.__setattr__(self, "_prefilter", re.compile("|".join(map(re.escape, words))))
 
     @classmethod
     def default(cls):
@@ -174,12 +182,17 @@ class CaptionGender(Enum):
     NONE = "none"
 
 
+def _gender_hits(text, lexicon):
+    """(has a masculine token, has a feminine token) for one text."""
+    if not lexicon._prefilter.search(text.lower()):
+        return False, False
+    tokens = set(tokenize(text))
+    return not tokens.isdisjoint(lexicon.masculine), not tokens.isdisjoint(lexicon.feminine)
+
+
 def caption_gender(text, lexicon=None):
     """Which gendered word sets a caption hits (exact token match)."""
-    lexicon = lexicon or GenderLexicon.default()
-    tokens = set(tokenize(text))
-    has_masc = bool(tokens & lexicon.masculine)
-    has_fem = bool(tokens & lexicon.feminine)
+    has_masc, has_fem = _gender_hits(text, lexicon or GenderLexicon.default())
     if has_masc and has_fem:
         return CaptionGender.HAS_BOTH
     if has_masc:
@@ -200,12 +213,11 @@ def image_gender(caption_texts, lexicon=None):
     if not caption_texts:
         raise DataError("image_gender needs at least one caption")
     lexicon = lexicon or GenderLexicon.default()
-    any_masc = False
-    any_fem = False
+    any_masc = any_fem = False
     for text in caption_texts:
-        tokens = set(tokenize(text))
-        any_masc = any_masc or bool(tokens & lexicon.masculine)
-        any_fem = any_fem or bool(tokens & lexicon.feminine)
+        has_masc, has_fem = _gender_hits(text, lexicon)
+        any_masc |= has_masc
+        any_fem |= has_fem
     if any_masc and not any_fem:
         return GenderLabel.MALE
     if any_fem and not any_masc:
@@ -233,11 +245,13 @@ def neutralize(text, lexicon=None):
     attributively (next word follows directly and is not a function word);
     otherwise it degrades to "person". Sentence-initial capitalization is
     preserved. Output never contains a gendered token, so the rewrite is
-    idempotent.
+    idempotent. A text the lexicon's prefilter misses is returned as is.
     """
     lexicon = lexicon or GenderLexicon.default()
+    if not lexicon._prefilter.search(text.lower()):
+        return text
     text = _PHRASE_RE.sub(_phrase_sub, text)
-    gendered = lexicon.masculine | lexicon.feminine
+    gendered = lexicon._gendered
 
     tokens = [(m.start(), m.end(), m.group()) for m in _WORD_RE.finditer(text)]
     out = []
@@ -320,17 +334,21 @@ def load_captions(path):
         for key in ("id", "image_id", "text"):
             if key not in obj:
                 raise DataError(f"{path}, line {lineno}: record needs {key!r}")
-        if obj["id"] in seen:
-            raise DataError(f"{path}, line {lineno}: duplicate caption id {obj['id']!r}")
-        seen.add(obj["id"])
         try:
-            captions.append(Caption(id=obj["id"], image_id=obj["image_id"], text=obj["text"]))
+            cap = Caption(id=obj["id"], image_id=obj["image_id"], text=obj["text"])
         except DataError as exc:
             raise DataError(f"{path}, line {lineno}: {exc}") from None
+        if cap.id in seen:
+            raise DataError(f"{path}, line {lineno}: duplicate caption id {cap.id!r}")
+        seen.add(cap.id)
+        captions.append(cap)
     return captions
 
 
 def save_captions(captions, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         for cap in captions:
-            fh.write(json.dumps({"id": cap.id, "image_id": cap.image_id, "text": cap.text}) + "\n")
+            fh.write(
+                b'{"id": %s, "image_id": %s, "text": %s}\n'
+                % (_json_str(cap.id), _json_str(cap.image_id), _json_str(cap.text))
+            )

@@ -1,13 +1,16 @@
 """End-to-end CLI behavior: outputs, manifests, determinism, exit codes."""
 
 import csv
+import hashlib
 import json
+import random
 
 import numpy as np
 import pytest
 
 import searchbias.cli as cli
 from searchbias.cli import main
+from searchbias.clipper import ClipPlan
 from searchbias.core import load_embeddings
 
 
@@ -318,6 +321,64 @@ def test_undecodable_and_out_of_range_inputs_are_invalid(data_dir, tmp_path, cap
                      + '{"id": "c2", "image_id": "i1", "text": "A caf\xe9"}\n'.encode("latin-1"))
     assert main(["label", "--captions", str(caps), "--out-dir", str(tmp_path)]) == 2
     assert f"{caps}, line 2: invalid JSON" in capsys.readouterr().err
+
+
+def test_mistyped_caption_id_is_invalid(tmp_path, capsys):
+    caps = tmp_path / "caps.jsonl"
+    caps.write_text('{"id": ["c1"], "image_id": "i1", "text": "A man"}\n')
+    assert main(["label", "--captions", str(caps), "--out-dir", str(tmp_path)]) == 2
+    assert f"{caps}, line 1: caption id must be a non-empty string" in capsys.readouterr().err
+
+
+def _pinned_captions(path):
+    """A seeded caption corpus: lexicon words in mixed case beside punctuation,
+    digits, escapes and non-ASCII text, under ids that need escaping too."""
+    rng = random.Random(5)
+    words = [
+        "man", "Women", "GIRL", "father's", "male", "female", "son", "person", "human",
+        "men and women", "a", "an", "actor", "dog", "is", "caf\u00e9", "\u212aing", "\u017fon",
+        "\u0130man", '"quoted"', "back\\slash", "tab\there", "bell\x07", "\U0001f600", "42man",
+    ]
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(150):
+            text = " ".join(rng.choice(words) for _ in range(rng.randint(1, 8)))
+            record = {
+                "id": f"c{i}\u00e9" if i % 7 == 0 else f"c{i}",
+                "image_id": f'img"{i % 50}',
+                "text": text + rng.choice([".", "!", "", "?"]),
+            }
+            fh.write(json.dumps(record) + "\n")
+
+
+def test_caption_and_table_outputs_are_pinned(tmp_path):
+    """label, neutralize, clip-apply and synth write these exact bytes."""
+    caps = tmp_path / "caps.jsonl"
+    _pinned_captions(caps)
+    synth = tmp_path / "synth"
+    assert main(["synth", "--seed", "4", "--n-images", "40", "--n-texts", "15", "--dim", "5",
+                 "--bias-dims", "1", "--mu", "1.5", "--out-dir", str(synth)]) == 0
+    plan = tmp_path / "plan.json"
+    ClipPlan(dim=5, mi=[0.0] * 5, clipped=[3, 0]).save(plan)
+    assert main(["label", "--captions", str(caps), "--out-dir", str(tmp_path / "label")]) == 0
+    assert main(["neutralize", "--captions", str(caps), "--out-dir", str(tmp_path / "neut")]) == 0
+    assert main(["clip-apply", "--embeddings", str(synth / "images.jsonl"), "--plan", str(plan),
+                 "--out-dir", str(tmp_path / "clip")]) == 0
+    names = [
+        "synth/images.jsonl", "synth/texts.jsonl", "synth/labels.jsonl", "synth/truth.jsonl",
+        "label/labels.jsonl", "neut/neutralized.jsonl", "clip/clipped.jsonl",
+    ]
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in names}
+    # Computed with the writers and caption tools before the orjson row
+    # formatter and the caption prefilter.
+    assert digests == {
+        "synth/images.jsonl": "c39e546fd7c6ccdb7af45533be28d7935e2712f5edd39d0894593008dc6870ae",
+        "synth/texts.jsonl": "20afe590d6c369e0cf494b0623821f1fca4f1efa4941b6e2c21f56d089fe5057",
+        "synth/labels.jsonl": "b2db6ce2a11fb3cdcac722c8301f3850045d26385ebd56945b6bfb8d473b7191",
+        "synth/truth.jsonl": "1883fccc85f22e8b8ccdcf8cd6e4c969620ff4e044eb9af16ab97e2a5da83bd8",
+        "label/labels.jsonl": "834304887040b3a2c15c41dadff7c71fb8d6d7fdfe6deb4de981349b62455251",
+        "neut/neutralized.jsonl": "035ccaa59b6485a804b56245a15dcfad5b5d11b21f2abd2b48534c7e80857250",
+        "clip/clipped.jsonl": "e8df7ca390f686dc26c049ea58541d8028a063ed344a2c513faefcf9dcb4c0f6",
+    }
 
 
 def test_sweep_m_first_row_matches_unclipped_eval(data_dir, tmp_path):

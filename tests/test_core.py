@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from searchbias.clipper import ClipPlan, apply_clip
 from searchbias.core import (
     DataError,
     Dataset,
@@ -107,6 +108,11 @@ def test_load_embeddings_error_reporting(tmp_path):
     with pytest.raises(DataError, match="dim"):
         load_embeddings(path, expected_dim=2)
 
+    for header in ('{"dim": true}', '{"dim": 0}', '{"dim": 2.0}', '{"dim": "2"}'):
+        path.write_text(header + "\n")
+        with pytest.raises(DataError, match="line 1: header dim must be a positive integer"):
+            load_embeddings(path)
+
     good = '{"id": "a", "vector": [1.0, 2.0]}\n'
     zero = '{"id": "z", "vector": [0.0, 0]}\n'
     # Strict JSON: non-standard literals, numbers beyond the double range and
@@ -195,6 +201,76 @@ def test_string_fields_match_the_stdlib_decoder(tmp_path):
         (r["id"], r["image_id"], r["text"]) for r in reference(captions)
     ]
     assert "😀" in load_truth(truth).values()
+
+
+# Strings whose JSON form needs escapes: quotes, backslashes, control
+# characters, non-ASCII and astral characters, and a lone surrogate.
+AWKWARD_STRINGS = [
+    "plain",
+    'quote " and back\\slash \\u0041',
+    "control \x00\x01\x08\x0c\x1f\x7f \t\n\r",
+    "caf\u00e9 \u212a \u0130 \u017f \u2028 \u00a0",
+    "astral \U0001f600\U00010348",
+    "lone \ud800 surrogate",
+]
+
+
+def _json_lines(records):
+    """The reference bytes: one json.dumps line per record."""
+    return b"".join((json.dumps(rec) + "\n").encode("utf-8") for rec in records)
+
+
+# Floats at the edges of repr's fixed-point and exponent forms.
+FLOAT_EDGES = [
+    1e-5, 9.99e-6, 0.0001, 9.9999e-05, 2.5e-5, 1e-7, 1e15, 1e16, 9999999999999998.0,
+    1234567890123456.7, 1e22, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
+    np.finfo(np.float64).max, 0.1, 1 / 3, 123456789012345.6,
+]
+
+
+def _awkward_rows(dim):
+    """Rows of edge values, random bit patterns, and normals at many scales."""
+    rng = np.random.default_rng(41)
+    edges = [[x, 1.0, -x, 0.5][:dim] for x in FLOAT_EDGES]
+    bits = rng.integers(0, 2**64, size=4000, dtype=np.uint64).view(np.float64)
+    bits = bits[np.isfinite(bits)]
+    wide = rng.standard_normal(4000) * 10.0 ** rng.uniform(-37, 38, size=4000)
+    # One scale per row keeps whole rows in repr's fixed-point range too.
+    fixed = rng.standard_normal((1000, dim)) * 10.0 ** rng.integers(-3, 15, size=(1000, 1))
+    return np.concatenate(
+        [edges, bits[: len(bits) // dim * dim].reshape(-1, dim), wide.reshape(-1, dim), fixed]
+    )
+
+
+def test_save_embeddings_writes_the_json_dumps_bytes(tmp_path):
+    dim = 4
+    rows = _awkward_rows(dim)
+    ids = [f"{AWKWARD_STRINGS[i % len(AWKWARD_STRINGS)]}{i}" for i in range(len(rows))]
+    table = EmbeddingTable(ids, rows)
+    path = tmp_path / "t.jsonl"
+    save_embeddings(table, path)
+    assert path.read_bytes() == _json_lines({"id": i, "vector": v.tolist()} for i, v in zip(ids, rows))
+
+    # apply_clip's rows are views that are not C-contiguous.
+    clipped = apply_clip(table, ClipPlan(dim=dim, mi=[0.0] * dim, clipped=[1]))
+    assert not clipped.vectors[0].flags.c_contiguous
+    save_embeddings(clipped, path)
+    assert path.read_bytes() == _json_lines({"id": i, "vector": v.tolist()} for i, v in clipped.records())
+
+    save_embeddings(EmbeddingTable([], np.zeros((0, 3))), path)
+    assert path.read_bytes() == _json_lines([{"dim": 3}])
+
+
+def test_label_and_truth_writers_write_the_json_dumps_bytes(tmp_path):
+    labels = {s: list(GenderLabel)[i % 3] for i, s in enumerate(AWKWARD_STRINGS)}
+    save_labels(labels, tmp_path / "labels")
+    expected = _json_lines({"id": i, "gender": label.value} for i, label in labels.items())
+    assert (tmp_path / "labels").read_bytes() == expected
+
+    truth = dict(zip(AWKWARD_STRINGS, reversed(AWKWARD_STRINGS)))
+    save_truth(truth, tmp_path / "truth")
+    expected = _json_lines({"text_id": t, "image_id": i} for t, i in truth.items())
+    assert (tmp_path / "truth").read_bytes() == expected
 
 
 def test_labels_round_trip_and_errors(tmp_path):

@@ -1,6 +1,8 @@
 """Caption gender detection and gender-neutral rewriting."""
 
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -206,5 +208,86 @@ def test_captions_round_trip_and_errors(tmp_path):
     path.write_text('{"id": "c1", "image_id": "i1"}\n')
     with pytest.raises(DataError, match="line 1"):
         load_captions(path)
+    # Fields are checked before the duplicate test, which hashes the id.
+    for bad_id in ('["c1"]', '{"a": 1}', "7", '""'):
+        path.write_text(f'{{"id": {bad_id}, "image_id": "i1", "text": "x"}}\n')
+        with pytest.raises(DataError, match="line 1: caption id must be a non-empty string"):
+            load_captions(path)
     with pytest.raises(DataError):
         Caption(id="c1", image_id="i1", text="")
+
+
+def test_save_captions_writes_the_json_dumps_bytes(tmp_path):
+    awkward = [
+        'quote " and back\\slash',
+        "control \x00\x1f\x7f \t\n",
+        "caf\u00e9 \u212a \u0130 \u017f \u2028",
+        "astral \U0001f600",
+        "lone \ud800 surrogate",
+    ]
+    caps = [
+        Caption(id=f"c{i}{a}", image_id=f"{a}i{i % 2}", text=f"A man {a}.")
+        for i, a in enumerate(awkward)
+    ]
+    path = tmp_path / "caps.jsonl"
+    save_captions(caps, path)
+    expected = "".join(
+        json.dumps({"id": c.id, "image_id": c.image_id, "text": c.text}) + "\n" for c in caps
+    )
+    assert path.read_bytes() == expected.encode("ascii")
+
+
+def _without_prefilter(lexicon):
+    """A copy of `lexicon` whose prefilter sends every text down the full path."""
+    copy = dataclasses.replace(lexicon)
+    object.__setattr__(copy, "_prefilter", re.compile(""))
+    return copy
+
+
+def _lexicon_text(rng, words):
+    """Lexicon and filler words in mixed case, joined by spaces, punctuation,
+    digits and characters whose lowercase form is ASCII or longer."""
+    joins = [" ", " ", " ", "", ", ", "-", "'s ", "3", "\u212a", "\u017f", "\u0130", "\u00e9", ". "]
+    pieces = []
+    for _ in range(int(rng.integers(1, 9))):
+        word = words[int(rng.integers(len(words)))]
+        style = rng.random()
+        if style < 0.2:
+            word = word.upper()
+        elif style < 0.4:
+            word = word.capitalize()
+        pieces.append(word)
+        pieces.append(joins[int(rng.integers(len(joins)))])
+    return "".join(pieces).strip() or "x"
+
+
+def test_prefilter_never_changes_the_caption_tools():
+    filler = ["a", "an", "the", "and", "is", "person", "human", "german", "dog", "x-ray",
+              "Men and women", "women and men", "king", "ing", "an", "actor"]
+    custom = GenderLexicon(
+        masculine=frozenset({"king", "he-man", "mr.", "sir"}),
+        feminine=frozenset({"queen", "ms.", "dame"}),
+        neutral=frozenset({"monarch"}),
+        replacement={"king": "monarch", "queen": "monarch", "sir": None, "he-man": "hero"},
+    )
+    for seed, lexicon in ((1, GenderLexicon.default()), (2, custom)):
+        full = _without_prefilter(lexicon)
+        words = sorted(lexicon.masculine | lexicon.feminine) + filler
+        rng = np.random.default_rng(seed)
+        texts = [_lexicon_text(rng, words) for _ in range(3000)]
+        # Both paths must be exercised: some texts miss the prefilter.
+        skipped = sum(not lexicon._prefilter.search(t.lower()) for t in texts)
+        assert 100 < skipped < len(texts) - 100
+        for text in texts:
+            assert neutralize(text, lexicon) == neutralize(text, full), text
+            assert caption_gender(text, lexicon) is caption_gender(text, full), text
+        for i in range(0, len(texts), 3):
+            group = texts[i : i + 3]
+            assert image_gender(group, lexicon) is image_gender(group, full), group
+
+    # The phrase rule runs under any lexicon, so "men" always passes the prefilter.
+    assert neutralize("Men and women run", custom) == "People run"
+    # Tokens come from the original text: the Kelvin sign is not the letter k.
+    assert caption_gender("\u212aing and queen", custom) is CaptionGender.HAS_FEM
+    assert neutralize("A \u212aing", custom) == "A \u212aing"
+    assert neutralize("\u0130man and \u017fon", GenderLexicon.default()) == "\u0130person and \u017fon"
