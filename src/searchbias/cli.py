@@ -33,7 +33,6 @@ from .core import (
     synth_dataset,
 )
 from .gender_text import (
-    Caption,
     GenderLexicon,
     image_gender,
     load_captions,
@@ -159,14 +158,16 @@ def cmd_label(args):
 def cmd_neutralize(args):
     captions = load_captions(args.captions)
     lexicon = _load_lexicon(args.lexicon)
-    out = [
-        Caption(id=cap.id, image_id=cap.image_id, text=neutralize(cap.text, lexicon))
-        for cap in captions
-    ]
-    save_captions(out, _out_path(args, "neutralized.jsonl"))
+    changed = 0
+    for cap in captions:
+        # neutralize never returns an empty text, so the caption stays valid.
+        text = neutralize(cap.text, lexicon)
+        if text != cap.text:
+            cap.text = text
+            changed += 1
+    save_captions(captions, _out_path(args, "neutralized.jsonl"))
     _write_manifest(args, [args.captions, args.lexicon])
-    changed = sum(1 for before, after in zip(captions, out) if before.text != after.text)
-    print(f"neutralize: {len(out)} captions written, {changed} changed")
+    print(f"neutralize: {len(captions)} captions written, {changed} changed")
 
 
 def cmd_retrieve(args):
@@ -268,28 +269,25 @@ def cmd_train(args):
     ds = _load_dataset(args)
     text_labels = load_labels(args.text_labels) if args.text_labels else None
     cfg = _trainer_config(args, args.alpha, args.seed)
-    log_rows = []
-    encoders = train(
-        ds, cfg, text_labels=text_labels, val_frac=args.val_frac, on_epoch=log_rows.append
-    )
+    header = ["epoch", "total_loss", "val_recall_at_10", "val_bias_at_10"]
+    log = []
+
+    def log_epoch(row):
+        # Reading the row validates its epoch now, inside train(), so an
+        # error leaves no file and no row keeps its epoch's encoders alive.
+        log.append([row[key] for key in header])
+
+    encoders = train(ds, cfg, text_labels=text_labels, val_frac=args.val_frac, on_epoch=log_epoch)
     encoders.save(_out_path(args, "encoders.json"), cfg)
-    _write_csv(
-        _out_path(args, "training_log.csv"),
-        ["epoch", "total_loss", "val_recall_at_10", "val_bias_at_10"],
-        [
-            [row["epoch"], row["total_loss"], row["val_recall_at_10"], row["val_bias_at_10"]]
-            for row in log_rows
-        ],
-    )
+    _write_csv(_out_path(args, "training_log.csv"), header, log)
     _write_manifest(
         args, [args.images, args.texts, args.labels, args.truth, args.text_labels]
     )
-    if log_rows:
-        last = log_rows[-1]
+    if log:
+        _, loss, recall, bias = log[-1]
         print(
-            f"train: {cfg.epochs} epochs, final loss {last['total_loss']:.4f}, "
-            f"val recall@10 {last['val_recall_at_10']:.4f}, "
-            f"val bias@10 {last['val_bias_at_10']:.4f}"
+            f"train: {cfg.epochs} epochs, final loss {loss:.4f}, "
+            f"val recall@10 {recall:.4f}, val bias@10 {bias:.4f}"
         )
     else:
         print("train: 0 epochs, encoders saved at initialization")

@@ -10,10 +10,13 @@ rewrite is a no-op.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 
 from .core import DataError, GenderLabel, _json_str, _parse_jsonl
 
@@ -91,12 +94,16 @@ def tokenize(text):
 
 @dataclass(frozen=True)
 class GenderLexicon:
-    """Masculine/feminine/neutral word sets plus the neutral replacement map."""
+    """Masculine/feminine/neutral word sets plus the neutral replacement map.
+
+    Instances are immutable: the word sets are frozensets and `replacement`
+    is a read-only mapping, so `default()` can share one instance.
+    """
 
     masculine: frozenset = _MASCULINE
     feminine: frozenset = _FEMININE
     neutral: frozenset = _NEUTRAL
-    replacement: dict = field(default_factory=lambda: dict(_REPLACEMENT))
+    replacement: Mapping = field(default_factory=lambda: dict(_REPLACEMENT))
 
     def __post_init__(self):
         masc = frozenset(w.lower() for w in self.masculine)
@@ -109,7 +116,7 @@ class GenderLexicon:
             raise DataError(f"words in both masculine and feminine lists: {sorted(masc & fem)}")
         gendered = masc | fem
         repl = {k.lower(): (v.lower() if isinstance(v, str) else v) for k, v in self.replacement.items()}
-        object.__setattr__(self, "replacement", repl)
+        object.__setattr__(self, "replacement", MappingProxyType(repl))
         for key, value in repl.items():
             if key not in gendered:
                 raise DataError(f"replacement key {key!r} is not a gendered word")
@@ -124,8 +131,14 @@ class GenderLexicon:
         words = sorted(gendered | {"men"})
         object.__setattr__(self, "_prefilter", re.compile("|".join(map(re.escape, words))))
 
+    def __reduce__(self):
+        # A mappingproxy does not pickle; the constructor arguments do.
+        return type(self), (self.masculine, self.feminine, self.neutral, dict(self.replacement))
+
     @classmethod
+    @functools.cache
     def default(cls):
+        """The built-in lexicon, one shared instance built on first use."""
         return cls()
 
     def to_json(self):

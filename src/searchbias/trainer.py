@@ -15,8 +15,10 @@ weight alpha. The image-to-text direction is never altered.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, asdict
 from typing import NamedTuple
 
@@ -113,6 +115,12 @@ class TripletBatch:
         return len(self.image_ids)
 
 
+def _read_only(array):
+    view = np.asarray(array, dtype=np.float64).view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass
 class LinearEncoders:
     """Linear projection maps; similarity is cosine of the projected vectors."""
@@ -121,8 +129,10 @@ class LinearEncoders:
     w_txt: np.ndarray
 
     def __post_init__(self):
-        self.w_img = np.asarray(self.w_img, dtype=np.float64)
-        self.w_txt = np.asarray(self.w_txt, dtype=np.float64)
+        # Read-only views: an epoch's log row validates these arrays when it
+        # is first read, so they must not change after the epoch ends.
+        self.w_img = _read_only(self.w_img)
+        self.w_txt = _read_only(self.w_txt)
         if self.w_img.ndim != 2 or self.w_txt.ndim != 2 or self.w_img.shape != self.w_txt.shape:
             raise DataError("encoder matrices must be 2-d and of equal shape")
         if not (np.all(np.isfinite(self.w_img)) and np.all(np.isfinite(self.w_txt))):
@@ -320,12 +330,49 @@ def _build_pairs(dataset, text_labels=None):
     return dataset.images.vectors[rows], rows, genders, neutral
 
 
+_LOG_KEYS = ("epoch", "total_loss", "val_recall_at_10", "val_bias_at_10")
+
+
+class EpochRow(Mapping):
+    """One epoch's read-only log row: epoch, total_loss, val_recall_at_10 and
+    val_bias_at_10, in that order.
+
+    The two validation metrics are computed together on the first read of
+    either, from the encoders that ended the epoch and the dataset given to
+    `train`; a row nobody reads never validates, and a validation error is
+    raised by the read. Until then the row holds its epoch's encoders.
+    """
+
+    __slots__ = ("_values", "_validate")
+
+    def __init__(self, epoch, total_loss, validate):
+        self._values = {"epoch": epoch, "total_loss": total_loss}
+        self._validate = validate
+
+    def __getitem__(self, key):
+        if self._validate is not None and key in _LOG_KEYS[2:]:
+            self._values["val_recall_at_10"], self._values["val_bias_at_10"] = self._validate()
+            self._validate = None
+        return self._values[key]
+
+    def __iter__(self):
+        return iter(_LOG_KEYS)
+
+    def __len__(self):
+        return len(_LOG_KEYS)
+
+    def __contains__(self, key):
+        return key in _LOG_KEYS
+
+
 def train(dataset, cfg, text_labels=None, val_frac=0.1, on_epoch=None):
     """Mini-batch SGD on the blended objective; deterministic per seed.
 
     Shuffling, the train/val split, initialization, and (in MC mode) negative
     sampling draw from independent seeded streams, so runs with the same
     config are bit-reproducible and alpha does not perturb the shuffle order.
+    After each epoch `on_epoch` gets that epoch's `EpochRow`, whose validation
+    metrics are computed when read (nan with no validation split).
     Raises RuntimeError if the loss stops being finite.
     """
     if not 0.0 <= val_frac < 1.0:
@@ -349,21 +396,18 @@ def train(dataset, cfg, text_labels=None, val_frac=0.1, on_epoch=None):
 
     text_id_list = list(dataset.texts.ids)
 
-    def epoch_metrics(epoch, loss_sum):
-        row = {"epoch": epoch, "total_loss": loss_sum}
-        if val_idx.size:
-            enc_imgs = EmbeddingTable(list(dataset.images.ids), encoders.encode_images(dataset.images.vectors))
-            val_tids = [text_id_list[int(i)] for i in val_idx]
-            enc_txts = EmbeddingTable(val_tids, encoders.encode_texts(dataset.texts.vectors[val_idx]))
-            results = retrieve_all(enc_txts, enc_imgs, k=10)
-            row["val_recall_at_10"] = recall_at_k(results, dataset.truth, 10).recall_at_k
-            row["val_bias_at_10"] = bias_at_k(results, dataset.labels, 10).bias_at_k
-        else:
-            row["val_recall_at_10"] = float("nan")
-            row["val_bias_at_10"] = float("nan")
-        if on_epoch is not None:
-            on_epoch(row)
-        return row
+    def validate(enc):
+        """(Recall@10, Bias@10) of the encoders `enc` on the validation split."""
+        if not val_idx.size:
+            return math.nan, math.nan
+        enc_imgs = EmbeddingTable(list(dataset.images.ids), enc.encode_images(dataset.images.vectors))
+        val_tids = [text_id_list[int(i)] for i in val_idx]
+        enc_txts = EmbeddingTable(val_tids, enc.encode_texts(dataset.texts.vectors[val_idx]))
+        results = retrieve_all(enc_txts, enc_imgs, k=10)
+        return (
+            recall_at_k(results, dataset.truth, 10).recall_at_k,
+            bias_at_k(results, dataset.labels, 10).bias_at_k,
+        )
 
     for epoch in range(1, cfg.epochs + 1):
         order = train_idx[shuffle_rng.permutation(train_idx.size)]
@@ -388,5 +432,6 @@ def train(dataset, cfg, text_labels=None, val_frac=0.1, on_epoch=None):
             if not (np.all(np.isfinite(new_wi)) and np.all(np.isfinite(new_wt))):
                 raise RuntimeError(f"training diverged: non-finite encoder update at epoch {epoch}")
             encoders = LinearEncoders(w_img=new_wi, w_txt=new_wt)
-        epoch_metrics(epoch, loss_sum)
+        if on_epoch is not None:
+            on_epoch(EpochRow(epoch, loss_sum, functools.partial(validate, encoders)))
     return encoders

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 import searchbias.cli as cli
+import searchbias.trainer as trainer
 from searchbias.cli import main
 from searchbias.clipper import ClipPlan
-from searchbias.core import load_embeddings
+from searchbias.core import DataError, load_embeddings
+from searchbias.retrieval import retrieve_all
 
 
 @pytest.fixture(scope="module")
@@ -238,6 +240,26 @@ def test_train_outputs(data_dir, tmp_path):
     with open(tmp_path / "training_log.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["epoch"] for r in rows] == ["1", "2"]
+
+
+def test_train_validation_error_leaves_no_files(data_dir, tmp_path, monkeypatch):
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise DataError("validation failed")
+        return retrieve_all(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "retrieve_all", failing)
+    out = tmp_path / "out"
+    rc = main(
+        ["train", *dataset_args(data_dir), "--epochs", "3", "--batch-size", "32",
+         "--emb-dim", "6", "--out-dir", str(out)]
+    )
+    assert rc == 2 and len(calls) == 2
+    for name in ("encoders.json", "training_log.csv", "manifest.json"):
+        assert not (out / name).exists()
 
 
 def test_sweep_alpha_rows(data_dir, tmp_path):

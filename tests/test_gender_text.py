@@ -1,7 +1,9 @@
 """Caption gender detection and gender-neutral rewriting."""
 
+import copy
 import dataclasses
 import json
+import pickle
 import re
 
 import numpy as np
@@ -157,6 +159,26 @@ def test_lexicon_round_trip_and_validation(tmp_path):
     ):
         with pytest.raises(DataError):
             GenderLexicon.from_json(json.dumps(bad))
+
+
+def test_default_lexicon_is_one_shared_read_only_instance():
+    lex = GenderLexicon.default()
+    assert lex is GenderLexicon.default()
+    assert lex == GenderLexicon()
+    with pytest.raises(TypeError):
+        lex.replacement["man"] = "king"
+    with pytest.raises(TypeError):
+        del lex.replacement["man"]
+    assert lex.replacement["man"] == "person"
+    assert neutralize("A man walked") == "A person walked"
+    # Copies, pickles and replace() still give working lexicons.
+    for copied in (copy.copy(lex), copy.deepcopy(lex), pickle.loads(pickle.dumps(lex))):
+        assert copied == lex and copied is not lex
+    king = dataclasses.replace(lex, replacement={"man": "king"})
+    assert king != lex and dict(king.replacement) == {"man": "king"}
+    assert neutralize("A man walked", king) == "A king walked"
+    assert GenderLexicon.from_json(lex.to_json()) == lex
+    assert GenderLexicon.default() is lex
 
 
 def fuzz_corpus(n, seed):

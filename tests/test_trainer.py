@@ -1,12 +1,16 @@
 """Triplet losses, fair sampling, analytic gradients, and the training loop."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+import searchbias.trainer as trainer
 from searchbias.core import DataError, Dataset, EmbeddingTable, GenderLabel, synth_dataset
+from searchbias.metrics import bias_at_k, recall_at_k
+from searchbias.retrieval import retrieve_all
 from searchbias.trainer import (
     LinearEncoders,
     TrainerConfig,
@@ -402,6 +406,16 @@ def test_encoders_init_save_load(tmp_path):
         LinearEncoders(w_img=np.array([[np.inf]]), w_txt=np.array([[1.0]]))
 
 
+def test_encoders_are_read_only_without_freezing_the_caller_arrays():
+    w = np.eye(3)
+    enc = LinearEncoders(w_img=w, w_txt=w)
+    for array in (enc.w_img, enc.w_txt):
+        with pytest.raises(ValueError):
+            array[0, 0] = 2.0
+    w[0, 0] = 2.0  # the caller's own array stays writable
+    assert enc.w_img[0, 0] == 2.0
+
+
 def tiny_dataset(seed=0, n_images=40, n_texts=60):
     return synth_dataset(seed, n_images, n_texts, 8, [0], skew=0.7, mu=1.5)
 
@@ -444,6 +458,63 @@ def test_train_zero_val_frac_gives_nan_metrics():
         on_epoch=rows.append,
     )
     assert math.isnan(rows[0]["val_recall_at_10"])
+
+
+def test_validation_runs_only_for_rows_that_are_read(monkeypatch):
+    ds = tiny_dataset()
+    cfg = TrainerConfig(gamma=0.2, alpha=0.5, lr=0.02, epochs=4, batch_size=16, seed=1, emb_dim=6)
+    calls = []
+
+    def counting(texts, images, *args, **kwargs):
+        calls.append(list(texts.ids))
+        return retrieve_all(texts, images, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "retrieve_all", counting)
+
+    final = train(ds, cfg)
+    assert calls == []
+
+    rows = []
+    assert train(ds, cfg, on_epoch=rows.append).w_img.tobytes() == final.w_img.tobytes()
+    assert [row["epoch"] for row in rows] == [1, 2, 3, 4]
+    assert list(rows[0]) == ["epoch", "total_loss", "val_recall_at_10", "val_bias_at_10"]
+    assert len(rows[0]) == 4 and "val_bias_at_10" in rows[0]
+    assert calls == []
+    last = (rows[-1]["val_recall_at_10"], rows[-1]["val_bias_at_10"])
+    assert rows[-1]["val_recall_at_10"] == last[0]
+    assert len(calls) == 1
+
+    rows = []
+    train(ds, cfg, on_epoch=rows.append)
+    calls.clear()
+    for _ in range(2):
+        got = [(row["val_recall_at_10"], row["val_bias_at_10"]) for row in reversed(rows)][::-1]
+    assert len(calls) == cfg.epochs
+    assert got[-1] == last
+
+    val_ids = calls[0]
+    assert all(ids == val_ids for ids in calls) and val_ids
+
+    def reference(enc):
+        images = EmbeddingTable(list(ds.images.ids), enc.encode_images(ds.images.vectors))
+        val_rows = [ds.texts.row_index(tid) for tid in val_ids]
+        texts = EmbeddingTable(val_ids, enc.encode_texts(ds.texts.vectors[val_rows]))
+        results = retrieve_all(texts, images, k=10)
+        return (
+            recall_at_k(results, ds.truth, 10).recall_at_k,
+            bias_at_k(results, ds.labels, 10).bias_at_k,
+        )
+
+    for epoch, value in enumerate(got, 1):
+        assert all(math.isfinite(v) for v in value)
+        assert value == reference(train(ds, dataclasses.replace(cfg, epochs=epoch)))
+    assert got[-1] == reference(final)
+    assert len(calls) == cfg.epochs
+
+    rows = []
+    train(ds, cfg, val_frac=0.0, on_epoch=rows.append)
+    assert all(math.isnan(row[key]) for row in rows for key in ("val_recall_at_10", "val_bias_at_10"))
+    assert len(calls) == cfg.epochs
 
 
 def test_train_text_labels_override_changes_training():
