@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 validation/data error, 3 runtime or numerical error.
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -99,6 +100,32 @@ def _write_csv(path, header, rows):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _csv_field(text):
+    """`text` as csv.writer writes it in a row of several fields."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
+def _write_per_query(path, text_ids, deltas):
+    """Write per_query.csv, the bytes `_write_csv` writes for one
+    [text_id, k, delta] row per query and cutoff k = 1..k_max.
+
+    Each id is quoted once and each distinct delta formatted once, with the
+    `repr` csv.writer uses for a float; deltas are told apart by their bits,
+    so -0.0 keeps its sign. Lines are written a query at a time.
+    """
+    bits = np.ascontiguousarray(deltas, dtype=np.float64).view(np.int64)
+    distinct, index = np.unique(bits, return_inverse=True)
+    formatted = [repr(delta) for delta in distinct.view(np.float64).tolist()]
+    cutoffs = [f",{k}," for k in range(1, bits.shape[1] + 1)]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("text_id,k,delta\n")
+        for text_id, row in zip(text_ids, index.reshape(bits.shape).tolist()):
+            quoted = _csv_field(text_id)
+            fh.write("".join([f"{quoted}{k}{formatted[i]}\n" for k, i in zip(cutoffs, row)]))
 
 
 def _load_lexicon(path):
@@ -213,12 +240,7 @@ def cmd_evaluate(args):
     _write_json(_out_path(args, "report.json"), report)
     _write_csv(_out_path(args, "curve.csv"), ["k", "bias_at_k", "recall_at_k"], curve_rows)
     if args.per_query:
-        rows = [
-            [text_id, k, delta]
-            for text_id, deltas in zip(curve.text_ids, curve.deltas.tolist())
-            for k, delta in enumerate(deltas, start=1)
-        ]
-        _write_csv(_out_path(args, "per_query.csv"), ["text_id", "k", "delta"], rows)
+        _write_per_query(_out_path(args, "per_query.csv"), curve.text_ids, curve.deltas)
     _write_manifest(args, [args.images, args.texts, args.labels, args.truth, args.clip_plan])
     headline = ", ".join(
         f"bias@{m['k']}={m['bias_at_k']:.4f} recall@{m['k']}={m['recall_at_k']:.4f}"

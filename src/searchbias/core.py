@@ -173,7 +173,8 @@ def load_embeddings(path, expected_dim=None):
     """Load an embedding table from JSONL.
 
     Each line is {"id": str, "vector": [float, ...]}. A leading {"dim": d}
-    header line is accepted (written by save_embeddings for empty tables).
+    header line is accepted (written by save_embeddings for empty tables);
+    given `expected_dim`, a header that names another dim is an error.
     Errors name the offending line and id; the first bad line is reported.
     """
     ids = []
@@ -190,6 +191,10 @@ def load_embeddings(path, expected_dim=None):
                 # bool, a subclass of int, is refused.
                 if type(obj["dim"]) is not int or obj["dim"] < 1:
                     raise DataError(f"{path}, line 1: header dim must be a positive integer")
+                if expected_dim is not None and obj["dim"] != expected_dim:
+                    raise DataError(
+                        f"{path}, line 1: header dim {obj['dim']} does not match expected dim {expected_dim}"
+                    )
                 header_dim = obj["dim"]
                 continue
             if "id" not in obj or "vector" not in obj:

@@ -131,6 +131,13 @@ class GenderLexicon:
         words = sorted(gendered | {"men"})
         object.__setattr__(self, "_prefilter", re.compile("|".join(map(re.escape, words))))
 
+    def __hash__(self):
+        # Agrees with the generated __eq__, which compares the four fields;
+        # a mappingproxy is not hashable, so its items stand in for it.
+        return hash(
+            (self.masculine, self.feminine, self.neutral, frozenset(self.replacement.items()))
+        )
+
     def __reduce__(self):
         # A mappingproxy does not pickle; the constructor arguments do.
         return type(self), (self.masculine, self.feminine, self.neutral, dict(self.replacement))

@@ -352,6 +352,21 @@ def test_mistyped_caption_id_is_invalid(tmp_path, capsys):
     assert f"{caps}, line 1: caption id must be a non-empty string" in capsys.readouterr().err
 
 
+def test_header_dim_that_contradicts_the_images_is_invalid(data_dir, tmp_path, capsys):
+    texts = tmp_path / "texts.jsonl"
+    texts.write_text('{"dim": 11}\n' + (data_dir / "texts.jsonl").read_text())
+    argv = dataset_args(data_dir)
+    argv[argv.index("--texts") + 1] = str(texts)
+    assert main(["evaluate", *argv, "--out-dir", str(tmp_path / "eval")]) == 2
+    assert f"{texts}, line 1: header dim 11 does not match expected dim 12" in capsys.readouterr().err
+
+    terms = tmp_path / "terms.jsonl"
+    terms.write_text('{"dim": 11}\n')
+    assert main(["occupation-bias", "--terms", str(terms), "--images", str(data_dir / "images.jsonl"),
+                 "--labels", str(data_dir / "labels.jsonl"), "--out-dir", str(tmp_path / "occ")]) == 2
+    assert f"{terms}, line 1: header dim 11 does not match expected dim 12" in capsys.readouterr().err
+
+
 def _pinned_captions(path):
     """A seeded caption corpus: lexicon words in mixed case beside punctuation,
     digits, escapes and non-ASCII text, under ids that need escaping too."""
@@ -401,6 +416,71 @@ def test_caption_and_table_outputs_are_pinned(tmp_path):
         "neut/neutralized.jsonl": "035ccaa59b6485a804b56245a15dcfad5b5d11b21f2abd2b48534c7e80857250",
         "clip/clipped.jsonl": "e8df7ca390f686dc26c049ea58541d8028a063ed344a2c513faefcf9dcb4c0f6",
     }
+
+
+_AWKWARD_TEXT_IDS = [
+    "a,b", 'say "hi"', "line\nbreak", "carriage\rreturn", " leading space", "café",
+    "K\U0001f600", "both,\"\r\n", '"', "trailing ", "tab\there", "plain",
+]
+
+
+def _awkward_eval_inputs(tmp_path):
+    """A seeded synth dataset whose text ids need quoting in a CSV."""
+    synth = tmp_path / "synth"
+    assert main(["synth", "--seed", "6", "--n-images", "30", "--n-texts", "12", "--dim", "5",
+                 "--bias-dims", "0", "--skew", "0.6", "--mu", "1.5", "--out-dir", str(synth)]) == 0
+    rename = dict(zip(load_embeddings(synth / "texts.jsonl").ids, _AWKWARD_TEXT_IDS))
+    for name, key in (("texts.jsonl", "id"), ("truth.jsonl", "text_id")):
+        lines = (synth / name).read_text(encoding="utf-8").splitlines()
+        records = [json.loads(line) for line in lines]
+        for record in records:
+            record[key] = rename[record[key]]
+        (synth / name).write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return [
+        "--images", str(synth / "images.jsonl"),
+        "--texts", str(synth / "texts.jsonl"),
+        "--labels", str(synth / "labels.jsonl"),
+        "--truth", str(synth / "truth.jsonl"),
+    ]
+
+
+def test_evaluate_outputs_are_pinned(tmp_path):
+    """evaluate --per-query writes these exact bytes, ids quoted as csv.writer quotes them."""
+    out = tmp_path / "eval"
+    assert main(["evaluate", *_awkward_eval_inputs(tmp_path), "--k-list", "1,3,7",
+                 "--per-query", "--out-dir", str(out)]) == 0
+    per_query = (out / "per_query.csv").read_bytes()
+    assert per_query.startswith(b'text_id,k,delta\n"a,b",1,')
+    # csv.writer quotes "\n" but, with a "\n" line terminator, not a lone "\r".
+    assert b'\n"line\nbreak",7,' in per_query and b"\ncarriage\rreturn,1," in per_query
+    names = ["per_query.csv", "curve.csv", "report.json"]
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+    # Computed with the per-query writer that ran csv.writer over one list per row.
+    assert digests == {
+        "per_query.csv": "36822be0a2e6510e628cc08ed3c55365dcb1553912a477a03c59b4a7e93ee35c",
+        "curve.csv": "43902693dfeb0cd9f1b7c995a91ab05c34a844c831c95955d23a9f6b4d769774",
+        "report.json": "cb2dad1b4b2a22f5cb352a194f8a56e6fabaed255e2f0558a19b5ad4e1051a31",
+    }
+
+
+def test_per_query_writer_matches_csv_writer_rows(tmp_path):
+    """Signed zeros, exponents and round-off digits come out as csv.writer writes them."""
+    values = [-0.0, 0.0, 1e-05, 0.1 + 0.2, 1.0, -1.0, 1 / 3, 5e-324]
+    deltas = np.array([values, values[::-1], values[2:] + values[:2]])
+    text_ids = ["a,b", "café\r", " x"]
+    cli._write_per_query(tmp_path / "new.csv", text_ids, deltas)
+    rows = [
+        [text_id, k, delta]
+        for text_id, row in zip(text_ids, deltas.tolist())
+        for k, delta in enumerate(row, start=1)
+    ]
+    with open(tmp_path / "old.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["text_id", "k", "delta"])
+        writer.writerows(rows)
+    written = (tmp_path / "new.csv").read_bytes()
+    assert written == (tmp_path / "old.csv").read_bytes()
+    assert b'"a,b",1,-0.0\n"a,b",2,0.0\n"a,b",3,1e-05\n"a,b",4,0.30000000000000004\n' in written
 
 
 def test_sweep_m_first_row_matches_unclipped_eval(data_dir, tmp_path):

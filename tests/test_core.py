@@ -85,6 +85,20 @@ def test_empty_table_round_trip_keeps_dim(tmp_path):
     assert len(back) == 0 and back.dim == 5
 
 
+def test_header_dim_must_match_expected_dim(tmp_path):
+    path = tmp_path / "texts.jsonl"
+    path.write_text('{"dim": 3}\n{"id": "a", "vector": [1.0, 2.0, 3.0, 4.0]}\n')
+    with pytest.raises(DataError, match="line 1: header dim 3 does not match expected dim 4"):
+        load_embeddings(path, expected_dim=4)
+    with pytest.raises(DataError, match="line 2 .*dimension mismatch, got 4, expected 3"):
+        load_embeddings(path)
+
+    path.write_text('{"dim": 3}\n')
+    with pytest.raises(DataError, match="line 1: header dim 3 does not match expected dim 4"):
+        load_embeddings(path, expected_dim=4)
+    assert load_embeddings(path, expected_dim=3).dim == 3
+
+
 def test_load_embeddings_error_reporting(tmp_path):
     path = tmp_path / "bad.jsonl"
 

@@ -181,6 +181,29 @@ def test_default_lexicon_is_one_shared_read_only_instance():
     assert GenderLexicon.default() is lex
 
 
+def test_equal_lexicons_hash_equal():
+    lex = GenderLexicon.default()
+    rebuilt = GenderLexicon.from_json(lex.to_json())
+    assert rebuilt == lex and rebuilt is not lex and hash(rebuilt) == hash(lex)
+    king = GenderLexicon(
+        masculine=frozenset({"King"}),
+        feminine=frozenset({"queen"}),
+        neutral=frozenset({"monarch"}),
+        replacement={"KING": "Monarch", "queen": None},
+    )
+    same_king = GenderLexicon(
+        masculine=frozenset({"king"}),
+        feminine=frozenset({"QUEEN"}),
+        neutral=frozenset({"Monarch"}),
+        replacement={"queen": None, "king": "monarch"},
+    )
+    assert king == same_king and hash(king) == hash(same_king)
+    assert king != lex
+    assert {lex, rebuilt, king, same_king, GenderLexicon()} == {lex, king}
+    table = {lex: "default", king: "king"}
+    assert table[rebuilt] == "default" and table[same_king] == "king"
+
+
 def fuzz_corpus(n, seed):
     """Random sentences mixing gendered, neutral, and filler vocabulary."""
     rng = np.random.default_rng(seed)
