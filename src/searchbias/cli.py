@@ -42,7 +42,7 @@ from .gender_text import (
 )
 from .metrics import bias_at_k, metric_curve, occupation_bias_report, recall_at_k
 from .retrieval import retrieve_all
-from .trainer import TrainerConfig, train
+from .trainer import TrainerConfig, train, train_alphas
 
 BOOTSTRAP_RESAMPLES = 200
 
@@ -316,6 +316,9 @@ def cmd_train(args):
 
 
 def cmd_sweep_alpha(args):
+    alphas = sorted(set(args.alphas))
+    if not alphas:
+        raise DataError("--alphas needs at least one alpha")
     ds = _load_dataset(args)
     text_labels = load_labels(args.text_labels) if args.text_labels else None
     if args.epochs < 1:
@@ -329,23 +332,24 @@ def cmd_sweep_alpha(args):
             f"sweep-alpha needs a non-empty validation split to score each run; "
             f"--val-frac {args.val_frac} of {len(ds.texts)} texts gives {max(n_val, 0)}"
         )
-    alphas = sorted(set(args.alphas))
     seeds = args.seeds if args.seeds else [args.seed]
+    # scores[i]: (Recall@10, Bias@10) of alphas[i]'s final epoch, one per seed.
+    scores = [[] for _ in alphas]
+    for seed in seeds:
+        # One lockstep pass per seed; only each run's latest row is kept.
+        latest = [None] * len(alphas)
+        train_alphas(
+            ds,
+            [_trainer_config(args, alpha, seed) for alpha in alphas],
+            text_labels=text_labels,
+            val_frac=args.val_frac,
+            on_epoch=latest.__setitem__,
+        )
+        for runs, row in zip(scores, latest):
+            runs.append((row["val_recall_at_10"], row["val_bias_at_10"]))
     rows = []
-    for alpha in alphas:
-        recalls, biases = [], []
-        for seed in seeds:
-            cfg = _trainer_config(args, alpha, seed)
-            log_rows = []
-            train(
-                ds,
-                cfg,
-                text_labels=text_labels,
-                val_frac=args.val_frac,
-                on_epoch=log_rows.append,
-            )
-            recalls.append(log_rows[-1]["val_recall_at_10"])
-            biases.append(log_rows[-1]["val_bias_at_10"])
+    for alpha, runs in zip(alphas, scores):
+        recalls, biases = zip(*runs)
         rows.append(
             [alpha, math.fsum(recalls) / len(recalls), math.fsum(biases) / len(biases)]
         )

@@ -11,6 +11,10 @@ text-to-image loss replaces the hardest negative with an equal-weight average
 of hinge terms over the Male and Female image partitions of the batch, and the
 total objective blends the fair and standard text-to-image losses with a
 weight alpha. The image-to-text direction is never altered.
+
+Runs that differ only in alpha share their data split, initialization and
+batches, so `train_alphas` steps them together, stacked along a leading axis;
+`train` is its one-run case.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import functools
 import json
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -77,7 +81,8 @@ class TripletBatch:
     are gender-neutral queries (the fair loss applies to them). `male_rows`
     and `female_rows` hold the first row of each unique Male / Female image,
     ascending; a duplicated image contributes one row, so expectations never
-    double-count a negative. `image_index` numbers each row's image.
+    double-count a negative. `negative[i, j]` holds when pairs i and j name
+    different images, so image i may be a negative for text j.
     """
 
     image_vecs: np.ndarray
@@ -87,7 +92,7 @@ class TripletBatch:
     neutral_query: np.ndarray
     male_rows: np.ndarray = field(init=False)
     female_rows: np.ndarray = field(init=False)
-    image_index: np.ndarray = field(init=False, repr=False)
+    negative: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.image_ids)
@@ -104,10 +109,10 @@ class TripletBatch:
             or self.neutral_query.shape[0] != n
         ):
             raise DataError("batch fields disagree on length")
-        _, first, self.image_index = np.unique(
-            np.asarray(self.image_ids), return_index=True, return_inverse=True
-        )
-        first.sort()
+        ids = np.asarray(self.image_ids)
+        self.negative = ids[:, None] != ids[None, :]
+        # A row is its image's first when its first equal id is its own.
+        first = np.flatnonzero(np.argmax(~self.negative, axis=1) == np.arange(n))
         self.male_rows = first[self.genders[first] == 1]
         self.female_rows = first[self.genders[first] == -1]
 
@@ -176,64 +181,71 @@ class LinearEncoders:
         return enc, cfg
 
 
-def _similarity(batch, encoders):
+def _similarity(batch, w_img, w_txt):
+    """Cosines of a stack of R runs' encoders: s[r, i, j] is the cosine of
+    image i and text j under run r's (w_img[r], w_txt[r]), each (emb, d)."""
     if len(batch) < 2:
         raise DataError("batch of size 1 has no negatives")
-    a = batch.image_vecs @ encoders.w_img.T
-    b = batch.text_vecs @ encoders.w_txt.T
-    na = np.linalg.norm(a, axis=1)
-    nb = np.linalg.norm(b, axis=1)
+    ah = batch.image_vecs @ w_img.transpose(0, 2, 1)
+    bh = batch.text_vecs @ w_txt.transpose(0, 2, 1)
+    na = np.sqrt((ah * ah).sum(axis=2))
+    nb = np.sqrt((bh * bh).sum(axis=2))
     if not (np.all(na > 0) and np.all(nb > 0)):
         raise RuntimeError("encoder projected a vector to zero norm")
-    ah = a / na[:, None]
-    bh = b / nb[:, None]
-    return ah @ bh.T, ah, bh, na, nb
+    ah /= na[:, :, None]
+    bh /= nb[:, :, None]
+    return ah @ bh.transpose(0, 2, 1), ah, bh, na, nb
 
 
 class _Objective(NamedTuple):
-    loss: float
-    l_it: float
-    l_ti: float
-    l_fair: float
+    loss: np.ndarray
+    l_it: np.ndarray
+    l_ti: np.ndarray
+    l_fair: np.ndarray
     g: np.ndarray
 
 
-def _objective(batch, s, gamma, alpha, rng=None, mc_negatives=False):
-    """Every term of the blended objective from the similarity matrix.
+def _objective(batch, s, gamma, alphas, rng=None, mc_negatives=False):
+    """Every term of the blended objective for a stack of R runs.
 
-    s[i, j] is the cosine of image i and text j. Returns the three losses,
-    their blend l_it + alpha * l_fair + (1 - alpha) * l_ti, and the matrix g
-    whose entry g[i, j] is the coefficient of s[i, j] in the blend. A pair's
-    own image (by id) is never a negative. At alpha 0 the fair term is not
-    computed and l_fair is 0.0.
+    s[r, i, j] is run r's cosine of image i and text j, and alphas[r] its
+    fair weight. Returns per-run arrays of the three losses and of their blend
+    l_it + alpha * l_fair + (1 - alpha) * l_ti, and the stack g whose entry
+    g[r, i, j] is the coefficient of s[r, i, j] in run r's blend. A pair's own
+    image (by id) is never a negative. A run at alpha 0 reports l_fair 0.0;
+    with no alpha > 0 the fair term is not computed. The fair negatives depend
+    only on the batch, so in MC mode one draw serves every run.
     """
-    n = len(batch)
+    runs, n = s.shape[0], len(batch)
     cols = np.arange(n)
-    valid = batch.image_index[:, None] != batch.image_index[None, :]
+    # Flat indices into s and g: entry (r, i, j) is r * n * n + i * n + j.
+    base = np.arange(0, runs * n * n, n * n)[:, None]
+    flat = s.reshape(-1)
+    valid = batch.negative
     has_neg = valid.any(axis=0)  # valid is symmetric
     masked = np.where(valid, s, -np.inf)
-    margin = gamma - np.diag(s)
+    margin = gamma - flat[base + cols * (n + 1)]
 
     # Image-to-text: each image row against its hardest negative text.
-    neg_col = np.argmax(masked, axis=1)
-    it_hinge = margin + s[cols, neg_col]
+    it_at = base + cols * n + np.argmax(masked, axis=2)
+    it_hinge = margin + flat[it_at]
     it_act = has_neg & (it_hinge > 0.0)
-    l_it = float(np.sum(np.where(it_act, it_hinge, 0.0)))
+    l_it = np.where(it_act, it_hinge, 0.0).sum(axis=1)
 
     # Text-to-image: each text column against its hardest negative image.
-    neg_row = np.argmax(masked, axis=0)
-    ti_hinge = margin + s[neg_row, cols]
+    ti_at = base + np.argmax(masked, axis=1) * n + cols
+    ti_hinge = margin + flat[ti_at]
     ti_act = has_neg & (ti_hinge > 0.0)
     ti_terms = np.where(ti_act, ti_hinge, 0.0)
-    l_ti = float(np.sum(ti_terms))
+    l_ti = ti_terms.sum(axis=1)
 
     # Fair text-to-image: a neutral query with a Male and a Female negative
     # averages ramped hinges over each partition, half weight each; in MC mode
     # it takes one member of one partition. Other queries keep the standard
-    # term. w_fair[i, j] is the weight of image i in text j's fair term.
-    l_fair = 0.0
+    # term. w_fair[r, i, j] is the weight of image i in text j's fair term.
+    l_fair = np.zeros(runs)
     std_weight = 1.0
-    if alpha:
+    if np.any(alphas > 0.0):
         parts = np.zeros((n, 2))  # columns: the Male and the Female partition
         parts[batch.male_rows, 0] = 1.0
         parts[batch.female_rows, 1] = 1.0
@@ -251,66 +263,93 @@ def _objective(batch, s, gamma, alpha, rng=None, mc_negatives=False):
             w_fair[np.argmax(np.cumsum(members, axis=0) > pick, axis=0), cols[use]] = 1.0
         else:
             w_fair = parts @ np.where(use, 0.5 / np.maximum(counts, 1.0), 0.0) * valid_f
-        hinge = margin[None, :] + s  # hinge[i, j]: text j against image i
+        hinge = margin[:, None, :] + s  # hinge[r, i, j]: text j against image i
         w_fair = np.where(hinge > 0.0, w_fair, 0.0)  # ramp: kinks take subgradient 0
-        l_fair = float(np.sum(np.where(use, (w_fair * hinge).sum(axis=0), ti_terms)))
-        std_weight = np.where(use, 1.0 - alpha, 1.0)[ti_act]
+        hinge *= w_fair
+        fair_terms = np.where(use, hinge.sum(axis=1), ti_terms)
+        l_fair = np.where(alphas > 0.0, fair_terms.sum(axis=1), 0.0)
+        std_weight = np.where(use, 1.0 - alphas[:, None], 1.0)
+        # The weights are >= 0, so an alpha-0 run's fair coefficients are +0.0.
+        w_fair *= alphas[:, None, None]
+        g = w_fair
+    else:
+        g = np.zeros_like(s)
 
     # g: fair weights, then the hardest negatives, then each positive pair,
-    # whose coefficient is minus the weight of its negatives.
-    g = alpha * w_fair if alpha else np.zeros((n, n))
-    g[neg_row[ti_act], cols[ti_act]] += std_weight
-    diag = -(it_act + g.sum(axis=0))
-    g[cols[it_act], neg_col[it_act]] += 1.0
-    g[cols, cols] = diag
-    loss = l_it + alpha * l_fair + (1.0 - alpha) * l_ti
+    # whose coefficient is minus the weight of its negatives. Inactive terms
+    # add +0.0, which leaves every (non-negative) coefficient unchanged.
+    g_flat = g.reshape(-1)
+    g_flat[ti_at] += np.where(ti_act, std_weight, 0.0)
+    diag = -(it_act + g.sum(axis=1))
+    g_flat[it_at] += it_act
+    g_flat[base + cols * (n + 1)] = diag
+    loss = l_it + alphas * l_fair + (1.0 - alphas) * l_ti
     return _Objective(loss, l_it, l_ti, l_fair, g)
+
+
+def _one_run(batch, encoders, gamma, alpha, rng=None, mc_negatives=False):
+    """The objective of one run: the R = 1 case of the stacked objective."""
+    s = _similarity(batch, encoders.w_img[None], encoders.w_txt[None])[0]
+    obj = _objective(batch, s, gamma, np.array([alpha]), rng, mc_negatives)
+    return _Objective(*(float(term[0]) for term in obj[:4]), obj.g[0])
 
 
 def triplet_loss_ti(batch, encoders, gamma):
     """Text-to-image hinge loss with the hardest in-batch negative image."""
-    return _objective(batch, _similarity(batch, encoders)[0], gamma, 0.0).l_ti
+    return _one_run(batch, encoders, gamma, 0.0).l_ti
 
 
 def triplet_loss_it(batch, encoders, gamma):
     """Image-to-text hinge loss with the hardest in-batch negative text."""
-    return _objective(batch, _similarity(batch, encoders)[0], gamma, 0.0).l_it
+    return _one_run(batch, encoders, gamma, 0.0).l_it
 
 
 def fair_loss_ti(batch, encoders, gamma, rng=None, mc_negatives=False):
     """Text-to-image loss with gender-fair negatives for neutral queries."""
-    s = _similarity(batch, encoders)[0]
-    return _objective(batch, s, gamma, 1.0, rng, mc_negatives).l_fair
+    return _one_run(batch, encoders, gamma, 1.0, rng, mc_negatives).l_fair
 
 
 def total_loss(batch, encoders, cfg, rng=None):
     """Image-to-text loss plus the alpha blend of fair and standard t-to-i losses."""
-    s = _similarity(batch, encoders)[0]
-    return _objective(batch, s, cfg.gamma, cfg.alpha, rng, cfg.mc_negatives).loss
+    return _one_run(batch, encoders, cfg.gamma, cfg.alpha, rng, cfg.mc_negatives).loss
 
 
-def _loss_and_grad(batch, encoders, cfg, rng=None):
-    """Total loss and its analytic gradient w.r.t. both encoder matrices.
+def _stacked_loss_and_grad(batch, w_img, w_txt, gamma, alphas, rng=None, mc_negatives=False):
+    """Per-run total losses and their analytic gradients w.r.t. a stack of
+    encoder matrices w_img, w_txt of shape (R, emb, d).
 
-    Backpropagates the coefficient matrix g of `_objective` through the
-    cosine in closed form. Hinge kinks take subgradient 0; hardest-negative
-    choices are held fixed, which is exact away from argmax ties.
+    Backpropagates the coefficients g of `_objective` through the cosine in
+    closed form. Hinge kinks take subgradient 0; hardest-negative choices are
+    held fixed, which is exact away from argmax ties.
     """
-    s, ah, bh, na, nb = _similarity(batch, encoders)
-    obj = _objective(batch, s, cfg.gamma, cfg.alpha, rng, cfg.mc_negatives)
+    s, ah, bh, na, nb = _similarity(batch, w_img, w_txt)
+    obj = _objective(batch, s, gamma, alphas, rng, mc_negatives)
     g = obj.g
     # d cos(a_i, b_j) / d a_i = (bh_j - S_ij ah_i) / |a_i|, and symmetrically.
     gs = g * s
-    u = (g @ bh - gs.sum(axis=1)[:, None] * ah) / na[:, None]
-    w = (g.T @ ah - gs.sum(axis=0)[:, None] * bh) / nb[:, None]
-    d_img = u.T @ batch.image_vecs
-    d_txt = w.T @ batch.text_vecs
+    u = g @ bh
+    u -= gs.sum(axis=2)[:, :, None] * ah
+    u /= na[:, :, None]
+    w = g.transpose(0, 2, 1) @ ah
+    w -= gs.sum(axis=1)[:, :, None] * bh
+    w /= nb[:, :, None]
+    d_img = u.transpose(0, 2, 1) @ batch.image_vecs
+    d_txt = w.transpose(0, 2, 1) @ batch.text_vecs
     return obj.loss, d_img, d_txt
 
 
+def _loss_and_grad(batch, encoders, cfg, rng=None):
+    """Total loss and its gradient w.r.t. both encoder matrices, for one run."""
+    loss, d_img, d_txt = _stacked_loss_and_grad(
+        batch, encoders.w_img[None], encoders.w_txt[None], cfg.gamma,
+        np.array([cfg.alpha]), rng, cfg.mc_negatives,
+    )
+    return float(loss[0]), d_img[0], d_txt[0]
+
+
 def _build_pairs(dataset, text_labels=None):
-    """Training pair arrays in text file order: the image vectors, the image
-    rows, their gender codes and the neutral-query flags."""
+    """Training pair arrays in text file order: the image rows, their gender
+    codes and the neutral-query flags."""
     text_ids = dataset.texts.ids
     try:
         truth = [dataset.truth[tid] for tid in text_ids]
@@ -327,7 +366,7 @@ def _build_pairs(dataset, text_labels=None):
             neutral = np.array([text_labels[tid].code == 0 for tid in text_ids], dtype=bool)
         except KeyError as exc:
             raise DataError(f"text {exc.args[0]!r} missing from text labels") from None
-    return dataset.images.vectors[rows], rows, genders, neutral
+    return rows, genders, neutral
 
 
 _LOG_KEYS = ("epoch", "total_loss", "val_recall_at_10", "val_bias_at_10")
@@ -365,19 +404,34 @@ class EpochRow(Mapping):
         return key in _LOG_KEYS
 
 
-def train(dataset, cfg, text_labels=None, val_frac=0.1, on_epoch=None):
-    """Mini-batch SGD on the blended objective; deterministic per seed.
+def train_alphas(dataset, cfgs, text_labels=None, val_frac=0.1, on_epoch=None):
+    """Mini-batch SGD on the blended objective for configs that differ only in
+    alpha, in lockstep; deterministic per seed. Returns one `LinearEncoders`
+    per config.
 
     Shuffling, the train/val split, initialization, and (in MC mode) negative
     sampling draw from independent seeded streams, so runs with the same
     config are bit-reproducible and alpha does not perturb the shuffle order.
-    After each epoch `on_epoch` gets that epoch's `EpochRow`, whose validation
-    metrics are computed when read (nan with no validation split).
-    Raises RuntimeError if the loss stops being finite.
+    The runs therefore share their split, initial encoders and every batch;
+    each step stacks their encoders along a leading axis and computes all
+    their losses and gradients together. Every run's losses, weights and
+    validation metrics equal those of its own `train` call, bit for bit.
+    After each epoch `on_epoch(index, row)` gets each config's `EpochRow`,
+    in config order, whose validation metrics are computed when read (nan
+    with no validation split). Raises RuntimeError, naming the alpha and
+    seed, if a run's loss or weights stop being finite; when several runs
+    diverge at one step, it names the lowest alpha.
     """
+    cfgs = list(cfgs)
+    if not cfgs:
+        raise DataError("train_alphas needs at least one config")
+    cfg = cfgs[0]
+    if any(replace(other, alpha=cfg.alpha) != cfg for other in cfgs):
+        raise DataError("lockstep trainer configs may differ only in alpha")
     if not 0.0 <= val_frac < 1.0:
         raise DataError("val_frac must be in [0, 1)")
-    image_vecs, rows, genders, neutral = _build_pairs(dataset, text_labels)
+    rows, genders, neutral = _build_pairs(dataset, text_labels)
+    image_vecs = dataset.images.vectors
     text_vecs = dataset.texts.vectors
     n = len(rows)
     if n < 2:
@@ -385,7 +439,10 @@ def train(dataset, cfg, text_labels=None, val_frac=0.1, on_epoch=None):
 
     ss = np.random.SeedSequence(cfg.seed)
     init_rng, split_rng, shuffle_rng, neg_rng = (np.random.default_rng(s) for s in ss.spawn(4))
-    encoders = LinearEncoders.init(dataset.images.dim, cfg.emb_dim, init_rng)
+    init = LinearEncoders.init(dataset.images.dim, cfg.emb_dim, init_rng)
+    alphas = np.array([c.alpha for c in cfgs])
+    w_img = np.repeat(init.w_img[None], len(cfgs), axis=0)
+    w_txt = np.repeat(init.w_txt[None], len(cfgs), axis=0)
 
     perm = split_rng.permutation(n)
     n_val = int(round(n * val_frac))
@@ -409,29 +466,52 @@ def train(dataset, cfg, text_labels=None, val_frac=0.1, on_epoch=None):
             bias_at_k(results, dataset.labels, 10).bias_at_k,
         )
 
+    def diverged(epoch, losses):
+        bad_loss = ~np.isfinite(losses)
+        bad = bad_loss | ~(np.isfinite(w_img).all(axis=(1, 2)) & np.isfinite(w_txt).all(axis=(1, 2)))
+        run = min(np.flatnonzero(bad), key=lambda r: alphas[r])
+        what = "loss" if bad_loss[run] else "encoder update"
+        return RuntimeError(
+            f"training diverged: non-finite {what} at epoch {epoch} "
+            f"(alpha {cfgs[run].alpha}, seed {cfg.seed})"
+        )
+
     for epoch in range(1, cfg.epochs + 1):
         order = train_idx[shuffle_rng.permutation(train_idx.size)]
-        loss_sum = 0.0
+        loss_sum = np.zeros(len(cfgs))
         for lo in range(0, order.size, cfg.batch_size):
             sel = order[lo : lo + cfg.batch_size]
             if sel.size < 2:
                 continue  # a singleton tail batch has no negatives
             batch = TripletBatch(
-                image_vecs=image_vecs[sel],
+                image_vecs=image_vecs[rows[sel]],
                 text_vecs=text_vecs[sel],
                 image_ids=rows[sel],
                 genders=genders[sel],
                 neutral_query=neutral[sel],
             )
-            loss, d_img, d_txt = _loss_and_grad(batch, encoders, cfg, neg_rng)
-            if not math.isfinite(loss):
-                raise RuntimeError(f"training diverged: non-finite loss at epoch {epoch}")
-            loss_sum += loss
-            new_wi = encoders.w_img - cfg.lr * d_img
-            new_wt = encoders.w_txt - cfg.lr * d_txt
-            if not (np.all(np.isfinite(new_wi)) and np.all(np.isfinite(new_wt))):
-                raise RuntimeError(f"training diverged: non-finite encoder update at epoch {epoch}")
-            encoders = LinearEncoders(w_img=new_wi, w_txt=new_wt)
+            losses, d_img, d_txt = _stacked_loss_and_grad(
+                batch, w_img, w_txt, cfg.gamma, alphas, neg_rng, cfg.mc_negatives
+            )
+            loss_sum += losses
+            d_img *= cfg.lr
+            d_txt *= cfg.lr
+            w_img -= d_img
+            w_txt -= d_txt
+            if not (np.isfinite(losses).all() and np.isfinite(w_img).all() and np.isfinite(w_txt).all()):
+                raise diverged(epoch, losses)
         if on_epoch is not None:
-            on_epoch(EpochRow(epoch, loss_sum, functools.partial(validate, encoders)))
-    return encoders
+            for index, total in enumerate(loss_sum.tolist()):
+                # A copy: the stacked weights keep changing in place.
+                enc = LinearEncoders(w_img=w_img[index].copy(), w_txt=w_txt[index].copy())
+                on_epoch(index, EpochRow(epoch, total, functools.partial(validate, enc)))
+    return [LinearEncoders(w_img=wi, w_txt=wt) for wi, wt in zip(w_img, w_txt)]
+
+
+def train(dataset, cfg, text_labels=None, val_frac=0.1, on_epoch=None):
+    """Train one config: `train_alphas` with `cfg` alone.
+
+    After each epoch `on_epoch(row)` gets that epoch's `EpochRow`.
+    """
+    callback = None if on_epoch is None else lambda _, row: on_epoch(row)
+    return train_alphas(dataset, [cfg], text_labels, val_frac, callback)[0]

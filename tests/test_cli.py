@@ -483,6 +483,75 @@ def test_per_query_writer_matches_csv_writer_rows(tmp_path):
     assert b'"a,b",1,-0.0\n"a,b",2,0.0\n"a,b",3,1e-05\n"a,b",4,0.30000000000000004\n' in written
 
 
+def _pinned_trainer_inputs(tmp_path):
+    """A seeded synth dataset and a text-labels file flagging half the texts neutral."""
+    synth = tmp_path / "synth"
+    assert main(["synth", "--seed", "5", "--n-images", "150", "--n-texts", "90", "--dim", "6",
+                 "--bias-dims", "0", "--skew", "0.7", "--mu", "1.5", "--p-neutral", "0.3",
+                 "--text-noise", "1.5", "--out-dir", str(synth)]) == 0
+    ids = load_embeddings(synth / "texts.jsonl").ids
+    genders = ["neutral", "male", "neutral", "female"]
+    (synth / "text_labels.jsonl").write_text(
+        "".join(json.dumps({"id": t, "gender": genders[i % 4]}) + "\n" for i, t in enumerate(ids))
+    )
+    data = [
+        "--images", str(synth / "images.jsonl"),
+        "--texts", str(synth / "texts.jsonl"),
+        "--labels", str(synth / "labels.jsonl"),
+        "--truth", str(synth / "truth.jsonl"),
+    ]
+    return data, ["--text-labels", str(synth / "text_labels.jsonl")]
+
+
+def test_sweep_alpha_and_train_outputs_are_pinned(tmp_path):
+    """sweep-alpha and train write these exact bytes, with and without MC negatives
+    and text labels; 81 training pairs in batches of 16 leave a one-pair tail."""
+    data, text_labels = _pinned_trainer_inputs(tmp_path)
+    common = ["--gamma", "0.3", "--lr", "0.05", "--epochs", "3", "--batch-size", "16",
+              "--emb-dim", "4"]
+    assert main(["sweep-alpha", *data, *common, "--alphas", "1,0,0.5", "--seeds", "0,1",
+                 "--mc-negatives", *text_labels, "--out-dir", str(tmp_path / "mc")]) == 0
+    assert main(["sweep-alpha", *data, *common, "--alphas", "0,0.5,1", "--seeds", "0,1",
+                 "--out-dir", str(tmp_path / "full")]) == 0
+    assert main(["train", *data, *common, "--alpha", "0.5", "--seed", "1", "--mc-negatives",
+                 *text_labels, "--out-dir", str(tmp_path / "train")]) == 0
+    names = ["mc/alpha_sweep.csv", "full/alpha_sweep.csv", "train/training_log.csv",
+             "train/encoders.json"]
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in names}
+    # Computed with the trainer that ran each alpha and seed as its own pass.
+    assert digests == {
+        "mc/alpha_sweep.csv": "3b4f6f2e2b71f4f82298a90d459d8752aba831032c2a11d2b36061dafbf74d9b",
+        "full/alpha_sweep.csv": "5a65c22432b6ff1e0eddd91529a1dbd489fa79f9f00b30878565fd9e49c17217",
+        "train/training_log.csv": "0f2e88c6849dafc128006d9d2e5c2af163a96664071117d90c1a938bdc98df43",
+        "train/encoders.json": "668826aca396d0879502bab92765dfac0a1c15a3b2dbc4778ce0e9f49ff926e3",
+    }
+
+
+def test_sweep_alpha_rejects_an_empty_alpha_list(data_dir, tmp_path, capsys, monkeypatch):
+    def no_load(*args, **kwargs):
+        raise AssertionError("inputs loaded")
+
+    monkeypatch.setattr(cli, "load_embeddings", no_load)
+    out = tmp_path / "out"
+    for alphas in (",", " , "):
+        assert main(["sweep-alpha", *dataset_args(data_dir), "--alphas", alphas,
+                     "--out-dir", str(out)]) == 2
+        assert "--alphas" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_alpha_divergence_names_the_run(data_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    # The first update overflows for every alpha; the lowest one is named.
+    assert main(["sweep-alpha", *dataset_args(data_dir), "--alphas", "1,0.5,0", "--seeds", "2,3",
+                 "--lr", "1e308", "--epochs", "1", "--batch-size", "32", "--emb-dim", "6",
+                 "--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "training diverged: non-finite encoder update at epoch 1" in err
+    assert "(alpha 0.0, seed 2)" in err
+    assert not out.exists()
+
+
 def test_sweep_m_first_row_matches_unclipped_eval(data_dir, tmp_path):
     eval_dir = tmp_path / "eval"
     assert main(["evaluate", *dataset_args(data_dir), "--out-dir", str(eval_dir)]) == 0

@@ -542,3 +542,65 @@ def test_train_validation():
     tiny = synth_dataset(0, 2, 1, 4)
     with pytest.raises(DataError):
         train(tiny, TrainerConfig(epochs=1, batch_size=16, emb_dim=6))
+
+
+def test_stacked_objective_equals_each_run():
+    """Runs stacked along a leading axis get their own losses and gradients, bit for bit."""
+    alphas = [0.0, 0.5, 1.0, 0.3]
+    for seed, batch in enumerate([random_batch(30, n=12, dup_images=True)] + fair_regime_batches()):
+        encs = [random_encoders(seed + 10 * r) for r in range(len(alphas))]
+        w_img = np.stack([enc.w_img for enc in encs])
+        w_txt = np.stack([enc.w_txt for enc in encs])
+        for mc in (False, True):
+            losses, d_img, d_txt = trainer._stacked_loss_and_grad(
+                batch, w_img, w_txt, 0.3, np.array(alphas), np.random.default_rng(seed), mc
+            )
+            for r, (alpha, enc) in enumerate(zip(alphas, encs)):
+                cfg = TrainerConfig(gamma=0.3, alpha=alpha, epochs=1, mc_negatives=mc)
+                # An alpha-0 run draws nothing; the others draw what one shared draw does.
+                loss, img, txt = _loss_and_grad(batch, enc, cfg, np.random.default_rng(seed))
+                assert losses[r] == loss, (seed, mc, alpha)
+                assert d_img[r].tobytes() == img.tobytes() and d_txt[r].tobytes() == txt.tobytes()
+
+
+def test_lockstep_training_equals_separate_runs():
+    """train_alphas gives each config the weights, epoch losses and validation
+    metrics of its own train() call. 55 texts on 12 images: every batch of 16
+    repeats an image, and the 49 training pairs leave a one-pair tail."""
+    ds = synth_dataset(4, 12, 55, 8, [0], skew=0.6, mu=1.5, p_neutral=0.3)
+    flagged = {tid: [M, F, N][i % 3] for i, tid in enumerate(ds.texts.ids)}
+    alphas = [1.0, 0.0, 0.5]
+    for mc in (False, True):
+        for text_labels in (None, flagged):
+            cfgs = [TrainerConfig(gamma=0.2, alpha=a, lr=0.05, epochs=3, batch_size=16, seed=7,
+                                  emb_dim=5, mc_negatives=mc) for a in alphas]
+            lock_rows = [[] for _ in cfgs]
+            locked = trainer.train_alphas(
+                ds, cfgs, text_labels=text_labels,
+                on_epoch=lambda index, row: lock_rows[index].append(dict(row)),
+            )
+            for cfg, enc, rows in zip(cfgs, locked, lock_rows):
+                own_rows = []
+                own = train(ds, cfg, text_labels=text_labels, on_epoch=own_rows.append)
+                assert enc.w_img.tobytes() == own.w_img.tobytes(), (mc, cfg.alpha)
+                assert enc.w_txt.tobytes() == own.w_txt.tobytes(), (mc, cfg.alpha)
+                assert rows == [dict(row) for row in own_rows], (mc, cfg.alpha)
+                assert [row["epoch"] for row in rows] == [1, 2, 3]
+            # The alphas train differently: the comparison is not vacuous.
+            assert len({enc.w_img.tobytes() for enc in locked}) == len(alphas)
+
+
+def test_lockstep_configs_may_differ_only_in_alpha():
+    ds = tiny_dataset()
+    cfg = TrainerConfig(alpha=0.0, epochs=1, batch_size=16, emb_dim=6)
+    for other in (
+        dataclasses.replace(cfg, alpha=1.0, seed=1),
+        dataclasses.replace(cfg, alpha=0.5, lr=0.02),
+        dataclasses.replace(cfg, mc_negatives=True),
+        dataclasses.replace(cfg, epochs=2),
+    ):
+        with pytest.raises(DataError, match="only in alpha"):
+            trainer.train_alphas(ds, [cfg, other])
+    with pytest.raises(DataError, match="at least one"):
+        trainer.train_alphas(ds, [])
+    assert len(trainer.train_alphas(ds, [cfg, dataclasses.replace(cfg, alpha=0.7)])) == 2
