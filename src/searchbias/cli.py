@@ -319,6 +319,9 @@ def cmd_sweep_alpha(args):
     alphas = sorted(set(args.alphas))
     if not alphas:
         raise DataError("--alphas needs at least one alpha")
+    seeds = [args.seed] if args.seeds is None else args.seeds
+    if not seeds:
+        raise DataError("--seeds needs at least one seed")
     ds = _load_dataset(args)
     text_labels = load_labels(args.text_labels) if args.text_labels else None
     if args.epochs < 1:
@@ -332,7 +335,6 @@ def cmd_sweep_alpha(args):
             f"sweep-alpha needs a non-empty validation split to score each run; "
             f"--val-frac {args.val_frac} of {len(ds.texts)} texts gives {max(n_val, 0)}"
         )
-    seeds = args.seeds if args.seeds else [args.seed]
     # scores[i]: (Recall@10, Bias@10) of alphas[i]'s final epoch, one per seed.
     scores = [[] for _ in alphas]
     for seed in seeds:

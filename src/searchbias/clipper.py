@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _NUMBER_TYPES, DataError, EmbeddingTable, gender_codes
+from .core import _NUMBER_TYPES, DataError, EmbeddingTable, _read_utf8, gender_codes
 
 
 def estimate_mi(column, codes, bins=20):
@@ -131,8 +131,7 @@ class ClipPlan:
 
     @classmethod
     def load(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+        return cls.from_json(_read_utf8(path))
 
 
 def fit_clip_plan(images, labels, m, bins=20):

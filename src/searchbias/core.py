@@ -43,6 +43,9 @@ class GenderLabel(Enum):
             raise DataError(f"unknown gender label {value!r} (expected male/female/neutral)") from None
 
 
+_LABEL_BY_VALUE = {label.value: label for label in GenderLabel}
+
+
 def gender_codes(ids, labels):
     """The int8 code of each id's label in `labels`, in the order of `ids`.
 
@@ -130,6 +133,15 @@ class EmbeddingTable:
             and self._vectors.shape == other._vectors.shape
             and bool(np.array_equal(self._vectors, other._vectors))
         )
+
+
+def _read_utf8(path):
+    """The whole text of `path`, which must be UTF-8."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: not UTF-8 text") from None
 
 
 def _parse_jsonl(path):
@@ -284,10 +296,15 @@ def load_labels(path):
             raise DataError(f"{path}, line {lineno}: id must be a non-empty string")
         if id_ in labels:
             raise DataError(f"{path}, line {lineno}: duplicate id {id_!r}")
-        try:
-            labels[id_] = GenderLabel.parse(obj["gender"])
-        except DataError as exc:
-            raise DataError(f"{path}, line {lineno} (id {id_!r}): {exc}") from None
+        gender = obj["gender"]
+        # Exact names are looked up; the rest, unhashable values among them, are parsed.
+        label = _LABEL_BY_VALUE.get(gender) if type(gender) is str else None
+        if label is None:
+            try:
+                label = GenderLabel.parse(gender)
+            except DataError as exc:
+                raise DataError(f"{path}, line {lineno} (id {id_!r}): {exc}") from None
+        labels[id_] = label
     return labels
 
 

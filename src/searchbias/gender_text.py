@@ -16,11 +16,15 @@ import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
+from json.encoder import encode_basestring_ascii as _json_ascii
 from types import MappingProxyType
 
-from .core import DataError, GenderLabel, _json_str, _parse_jsonl
+from .core import DataError, GenderLabel, _parse_jsonl, _read_utf8
 
-_WORD_RE = re.compile(r"[A-Za-z]+")
+# A token is a run of ASCII letters. The group makes split() keep the words
+# between the gaps; findall() returns the words either way.
+_WORD_RE = re.compile(r"([A-Za-z]+)")
 
 _MASCULINE = frozenset(
     ["man", "men", "male", "boy", "gentleman", "father", "brother", "son", "husband", "boyfriend"]
@@ -83,7 +87,6 @@ _NON_ATTRIBUTIVE_NEXT = frozenset(
     ]
 )
 
-_ARTICLES = frozenset(["a", "an", "the"])
 _VOWELS = "aeiou"
 
 
@@ -126,8 +129,6 @@ class GenderLexicon:
         # Prefilter: a gendered token lowercased is a substring of the
         # lowercased text, so a text this misses has no gendered token.
         # "men" stands for the phrase rule, which runs under any lexicon.
-        # Tokens are still read from the original text: str.lower() can turn
-        # a non-ASCII letter into an ASCII one (the Kelvin sign into "k").
         words = sorted(gendered | {"men"})
         object.__setattr__(self, "_prefilter", re.compile("|".join(map(re.escape, words))))
 
@@ -187,8 +188,7 @@ class GenderLexicon:
 
     @classmethod
     def load(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+        return cls.from_json(_read_utf8(path))
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -204,9 +204,13 @@ class CaptionGender(Enum):
 
 def _gender_hits(text, lexicon):
     """(has a masculine token, has a feminine token) for one text."""
-    if not lexicon._prefilter.search(text.lower()):
+    lowered = text.lower()
+    if not lexicon._prefilter.search(lowered):
         return False, False
-    tokens = set(tokenize(text))
+    # An ASCII text lowers letter for letter, so its tokens can come from the
+    # lowered text; str.lower() can turn a non-ASCII letter into an ASCII one
+    # (the Kelvin sign into "k"), so other texts are tokenized as written.
+    tokens = set(_WORD_RE.findall(lowered) if text.isascii() else tokenize(text))
     return not tokens.isdisjoint(lexicon.masculine), not tokens.isdisjoint(lexicon.feminine)
 
 
@@ -268,67 +272,54 @@ def neutralize(text, lexicon=None):
     idempotent. A text the lexicon's prefilter misses is returned as is.
     """
     lexicon = lexicon or GenderLexicon.default()
-    if not lexicon._prefilter.search(text.lower()):
+    lowered = text.lower()
+    if not lexicon._prefilter.search(lowered):
         return text
-    text = _PHRASE_RE.sub(_phrase_sub, text)
+    # The phrase holds "and", whose letters only ASCII a/n/d match when case
+    # is ignored, so a lowered text without "and" holds no phrase.
+    if "and" in lowered:
+        text = _PHRASE_RE.sub(_phrase_sub, text)
     gendered = lexicon._gendered
 
-    tokens = [(m.start(), m.end(), m.group()) for m in _WORD_RE.finditer(text)]
-    out = []
-    last_word_slot = None  # index in `out` of the most recent word piece
+    # Gaps and words alternate, gap first and last: words sit at odd indices.
+    # Rewrites edit their slot; a dropped word empties it.
+    parts = _WORD_RE.split(text)
+    last_gap = len(parts) - 1
+    kept = 0  # slot of the most recent word kept, 0 before the first
     capitalize_next = False
-    prev_end = 0
-    for i, (start, end, word) in enumerate(tokens):
-        gap = text[prev_end:start]
+    for j in range(1, last_gap, 2):
+        word = parts[j]
         low = word.lower()
-        if low not in gendered:
-            out.append(gap)
-            piece = word
-            if capitalize_next:
-                piece = piece[:1].upper() + piece[1:]
-                capitalize_next = False
-            last_word_slot = len(out)
-            out.append(piece)
-            prev_end = end
-            continue
-
-        target = lexicon.replacement.get(low, "person")
-        if target is None:
-            nxt = tokens[i + 1] if i + 1 < len(tokens) else None
-            joined_by_space = nxt is not None and text[end : nxt[0]].strip() == "" and nxt[0] > end
-            attributive = (
-                joined_by_space and nxt[2].lower() not in _NON_ATTRIBUTIVE_NEXT
-            )
-            if attributive:
-                out.append(gap)
-                # Drop the token plus one adjacent space.
-                if text[end : end + 1] == " ":
-                    prev_end = end + 1
-                elif out and out[-1].endswith(" "):
-                    out[-1] = out[-1][:-1]
-                    prev_end = end
-                else:
-                    prev_end = end
-                if i == 0 and word[:1].isupper():
-                    capitalize_next = True
-                # Fix article agreement: "a" vs "an" against the word now adjacent.
-                if last_word_slot is not None and out[last_word_slot].lower() in ("a", "an"):
-                    article = out[last_word_slot]
-                    wanted = "an" if nxt[2][:1].lower() in _VOWELS else "a"
-                    out[last_word_slot] = _match_case(article, wanted)
-                continue
-            target = "person"
-
-        out.append(gap)
-        piece = _match_case(word, target)
+        if low in gendered:
+            target = lexicon.replacement.get(low, "person")
+            if target is None:
+                # Attributive: whitespace alone joins the next word, which is
+                # not a function word.
+                if (
+                    j + 2 < last_gap
+                    and parts[j + 1].isspace()
+                    and parts[j + 2].lower() not in _NON_ATTRIBUTIVE_NEXT
+                ):
+                    # Drop the token plus one adjacent space.
+                    parts[j] = ""
+                    if parts[j + 1][0] == " ":
+                        parts[j + 1] = parts[j + 1][1:]
+                    elif parts[j - 1].endswith(" "):
+                        parts[j - 1] = parts[j - 1][:-1]
+                    if j == 1 and word[:1].isupper():
+                        capitalize_next = True
+                    # Fix article agreement: "a" vs "an" against the word now adjacent.
+                    if kept and parts[kept].lower() in ("a", "an"):
+                        wanted = "an" if parts[j + 2][:1].lower() in _VOWELS else "a"
+                        parts[kept] = _match_case(parts[kept], wanted)
+                    continue
+                target = "person"
+            word = parts[j] = _match_case(word, target)
         if capitalize_next:
-            piece = piece[:1].upper() + piece[1:]
+            parts[j] = word[:1].upper() + word[1:]
             capitalize_next = False
-        last_word_slot = len(out)
-        out.append(piece)
-        prev_end = end
-    out.append(text[prev_end:])
-    return "".join(out)
+        kept = j
+    return "".join(parts)
 
 
 @dataclass
@@ -351,11 +342,11 @@ def load_captions(path):
     captions = []
     seen = set()
     for lineno, obj in _parse_jsonl(path):
-        for key in ("id", "image_id", "text"):
-            if key not in obj:
-                raise DataError(f"{path}, line {lineno}: record needs {key!r}")
         try:
+            # Arguments are read left to right, so the first missing key raises.
             cap = Caption(id=obj["id"], image_id=obj["image_id"], text=obj["text"])
+        except KeyError as exc:
+            raise DataError(f"{path}, line {lineno}: record needs {exc.args[0]!r}") from None
         except DataError as exc:
             raise DataError(f"{path}, line {lineno}: {exc}") from None
         if cap.id in seen:
@@ -365,10 +356,16 @@ def load_captions(path):
     return captions
 
 
+_SAVE_BATCH = 4096  # lines formatted, then encoded and written at once
+
+
 def save_captions(captions, path):
+    captions = iter(captions)
     with open(path, "wb") as fh:
-        for cap in captions:
-            fh.write(
-                b'{"id": %s, "image_id": %s, "text": %s}\n'
-                % (_json_str(cap.id), _json_str(cap.image_id), _json_str(cap.text))
-            )
+        while batch := list(islice(captions, _SAVE_BATCH)):
+            lines = [
+                '{"id": %s, "image_id": %s, "text": %s}\n'
+                % (_json_ascii(cap.id), _json_ascii(cap.image_id), _json_ascii(cap.text))
+                for cap in batch
+            ]
+            fh.write("".join(lines).encode("ascii"))

@@ -299,7 +299,7 @@ def test_non_finite_trainer_inputs_are_invalid(data_dir, tmp_path):
         assert main([*sweep, "--val-frac", val_frac]) == 2, val_frac
 
 
-def test_mistyped_plan_and_lexicon_files_are_invalid(data_dir, tmp_path):
+def test_mistyped_plan_and_lexicon_files_are_invalid(data_dir, tmp_path, capsys):
     plan = tmp_path / "plan.json"
     images = str(data_dir / "images.jsonl")
     for text in ("7", '{"dim": 12, "mi": [0.0], "clipped": []}',
@@ -315,6 +315,19 @@ def test_mistyped_plan_and_lexicon_files_are_invalid(data_dir, tmp_path):
     lexicon.write_text('{"masculine": 1, "feminine": [], "neutral": [], "replacement": {}}')
     assert main(["label", "--captions", str(caps), "--lexicon", str(lexicon),
                  "--out-dir", str(tmp_path)]) == 2
+    # Bytes that are not UTF-8 are invalid input too, named by path.
+    for path in (plan, lexicon):
+        path.write_bytes(b"\xff\xfe{}")
+    capsys.readouterr()
+    assert main(["clip-apply", "--embeddings", images, "--plan", str(plan),
+                 "--out-dir", str(tmp_path)]) == 2
+    assert f"{plan}: not UTF-8 text" in capsys.readouterr().err
+    assert main(["evaluate", *dataset_args(data_dir), "--clip-plan", str(plan),
+                 "--out-dir", str(tmp_path)]) == 2
+    assert f"{plan}: not UTF-8 text" in capsys.readouterr().err
+    assert main(["neutralize", "--captions", str(caps), "--lexicon", str(lexicon),
+                 "--out-dir", str(tmp_path)]) == 2
+    assert f"{lexicon}: not UTF-8 text" in capsys.readouterr().err
 
 
 def test_undecodable_and_out_of_range_inputs_are_invalid(data_dir, tmp_path, capsys):
@@ -527,17 +540,26 @@ def test_sweep_alpha_and_train_outputs_are_pinned(tmp_path):
     }
 
 
-def test_sweep_alpha_rejects_an_empty_alpha_list(data_dir, tmp_path, capsys, monkeypatch):
+def _check_sweep_alpha_rejects_an_empty_list(flag, data_dir, tmp_path, capsys, monkeypatch):
+    """An empty comma list for `flag` exits 2 before any input is loaded."""
     def no_load(*args, **kwargs):
         raise AssertionError("inputs loaded")
 
     monkeypatch.setattr(cli, "load_embeddings", no_load)
     out = tmp_path / "out"
-    for alphas in (",", " , "):
-        assert main(["sweep-alpha", *dataset_args(data_dir), "--alphas", alphas,
+    for values in (",", " , "):
+        assert main(["sweep-alpha", *dataset_args(data_dir), flag, values,
                      "--out-dir", str(out)]) == 2
-        assert "--alphas" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sweep_alpha_rejects_an_empty_alpha_list(data_dir, tmp_path, capsys, monkeypatch):
+    _check_sweep_alpha_rejects_an_empty_list("--alphas", data_dir, tmp_path, capsys, monkeypatch)
+
+
+def test_sweep_alpha_rejects_an_empty_seed_list(data_dir, tmp_path, capsys, monkeypatch):
+    _check_sweep_alpha_rejects_an_empty_list("--seeds", data_dir, tmp_path, capsys, monkeypatch)
 
 
 def test_sweep_alpha_divergence_names_the_run(data_dir, tmp_path, capsys):

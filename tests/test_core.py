@@ -300,6 +300,18 @@ def test_labels_round_trip_and_errors(tmp_path):
     with pytest.raises(DataError, match="duplicate"):
         load_labels(path)
 
+    # Names in any case parse; every other value is named in the error.
+    path.write_text('{"id": "a", "gender": "MALE"}\n{"id": "b", "gender": "Female"}\n')
+    assert load_labels(path) == {"a": GenderLabel.MALE, "b": GenderLabel.FEMALE}
+    for gender, shown in (('"other"', "'other'"), ("1", "1"), ("true", "True"),
+                          ("null", "None"), ('["male"]', "['male']")):
+        path.write_text('{"id": "a", "gender": "male"}\n{"id": "b", "gender": %s}\n' % gender)
+        with pytest.raises(DataError) as err:
+            load_labels(path)
+        assert str(err.value) == (
+            f"{path}, line 2 (id 'b'): unknown gender label {shown} (expected male/female/neutral)"
+        )
+
 
 def test_truth_round_trip_and_errors(tmp_path):
     truth = {"t1": "i3", "t2": "i1"}

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import hashlib
 import json
 import pickle
 import re
@@ -336,3 +337,57 @@ def test_prefilter_never_changes_the_caption_tools():
     assert caption_gender("\u212aing and queen", custom) is CaptionGender.HAS_FEM
     assert neutralize("A \u212aing", custom) == "A \u212aing"
     assert neutralize("\u0130man and \u017fon", GenderLexicon.default()) == "\u0130person and \u017fon"
+
+
+def _pinned_corpus(rng, words, n):
+    """Seeded captions for the pinned digests: `_lexicon_text` sentences plus
+    whitespace a caption may hold around and inside the gendered words."""
+    spaces = ["\r", "\t", "\x85", "\xa0", "\u2003", " \t", "\r\n"]
+    phrases = [
+        "men and women", "Men\xa0and women", "men and\u2003women", "women\tand\u2003men", "MEN\x85AND\rWOMEN",
+        "a male female actor", "An female male owl", "the male, female", "Male", "Male female",
+    ]
+    texts = []
+    for _ in range(n):
+        text = _lexicon_text(rng, words)
+        for _ in range(int(rng.integers(0, 3))):
+            if rng.random() < 0.5:
+                # A phrase goes in at the start of a word, followed by a space.
+                cuts = [0] + [i + 1 for i, c in enumerate(text) if c == " "]
+                cut = cuts[int(rng.integers(len(cuts)))]
+                text = text[:cut] + phrases[int(rng.integers(len(phrases)))] + " " + text[cut:]
+            else:
+                cut = int(rng.integers(len(text) + 1))
+                text = text[:cut] + spaces[int(rng.integers(len(spaces)))] + text[cut:]
+        texts.append(text)
+    return texts
+
+
+def test_caption_tools_are_pinned():
+    """neutralize and caption_gender give these exact results on a seeded corpus."""
+    filler = ["a", "an", "the", "and", "is", "person", "human", "german", "dog", "x-ray",
+              "Men and women", "women and men", "king", "ing", "an", "actor", "owl", "with"]
+    custom = GenderLexicon(
+        masculine=frozenset({"king", "he-man", "mr.", "sir", "lord"}),
+        feminine=frozenset({"queen", "ms.", "dame", "lady"}),
+        neutral=frozenset({"monarch"}),
+        replacement={"king": "monarch", "queen": "monarch", "sir": None, "dame": None,
+                     "he-man": "hero", "lady": "an"},
+    )
+    digests = {}
+    for seed, name, lexicon in ((11, "default", GenderLexicon.default()), (12, "custom", custom)):
+        words = sorted(lexicon.masculine | lexicon.feminine) + filler
+        texts = _pinned_corpus(np.random.default_rng(seed), words, 4000)
+        texts += ["Male surfer riding", "a male female actor", "A male an female owl", "Male"]
+        neutral = [neutralize(text, lexicon) for text in texts]
+        genders = [caption_gender(text, lexicon).value for text in texts]
+        for key, values in (("neutralize", neutral), ("caption_gender", genders)):
+            blob = json.dumps(values).encode("ascii")
+            digests[f"{name}/{key}"] = hashlib.sha256(blob).hexdigest()
+    # Computed with the caption tools before neutralize edited one split list.
+    assert digests == {
+        "default/neutralize": "c7e25ddd4c87889769215ca8ee795789d26b2e462fdcb9063da57301cf634743",
+        "default/caption_gender": "2aca07427085f8c1ab9e2df5198d6dda6e819d5b37e02728e724bfac1d62b83e",
+        "custom/neutralize": "b3b7d578b8633986e25704136d809ef3ef0ef6150d8d7a6ea635802992cbadeb",
+        "custom/caption_gender": "84bee5dac3f3ff54fdd315e04416b97a26cba0b8b3c7c6c9452ccb240e1d69fa",
+    }
