@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 validation/data error, 3 runtime or numerical error.
 import argparse
 import csv
 import hashlib
-import io
 import json
 import math
 import os
@@ -86,8 +85,7 @@ def _write_manifest(args, input_paths):
         "inputs": {path: _sha256(path) for path in input_paths if path is not None},
         "version": __version__,
     }
-    with open(_out_path(args, "manifest.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    _write_json(_out_path(args, "manifest.json"), manifest)
 
 
 def _write_json(path, payload):
@@ -103,15 +101,16 @@ def _write_csv(path, header, rows):
 
 
 def _csv_field(text):
-    """`text` as csv.writer writes it in a row of several fields."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text, ""])
-    return buf.getvalue()[:-2]
+    """`text` as one CSV field: quoted, inner quotes doubled, when it holds a
+    `,`, a `"`, a `\\r` or a `\\n`, so that `csv.reader` reads it back."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _write_per_query(path, text_ids, deltas):
-    """Write per_query.csv, the bytes `_write_csv` writes for one
-    [text_id, k, delta] row per query and cutoff k = 1..k_max.
+    """Write per_query.csv: the header, then one text_id,k,delta row per
+    query and cutoff k = 1..k_max.
 
     Each id is quoted once and each distinct delta formatted once, with the
     `repr` csv.writer uses for a float; deltas are told apart by their bits,
@@ -136,6 +135,12 @@ def _load_pair(images_path, texts_path):
     images = load_embeddings(images_path)
     texts = load_embeddings(texts_path, expected_dim=images.dim)
     return images, texts
+
+
+def _load_inputs(args):
+    """The images, texts, labels and truth that the data flags name, in that order."""
+    images, texts = _load_pair(args.images, args.texts)
+    return images, texts, load_labels(args.labels), load_truth(args.truth)
 
 
 def _save_results(results, path):
@@ -206,9 +211,7 @@ def cmd_retrieve(args):
 
 
 def cmd_evaluate(args):
-    images, texts = _load_pair(args.images, args.texts)
-    labels = load_labels(args.labels)
-    truth = load_truth(args.truth)
+    images, texts, labels, truth = _load_inputs(args)
     k_list = sorted(set(args.k_list))
     if not k_list or k_list[0] < 1:
         raise DataError("--k-list needs at least one k >= 1")
@@ -267,13 +270,6 @@ def cmd_clip_apply(args):
     print(f"clip-apply: {len(clipped)} vectors reduced to dim {clipped.dim}")
 
 
-def _load_dataset(args):
-    images, texts = _load_pair(args.images, args.texts)
-    labels = load_labels(args.labels)
-    truth = load_truth(args.truth)
-    return Dataset(images=images, texts=texts, labels=labels, truth=truth)
-
-
 def _trainer_config(args, alpha, seed):
     return TrainerConfig(
         gamma=args.gamma,
@@ -288,7 +284,7 @@ def _trainer_config(args, alpha, seed):
 
 
 def cmd_train(args):
-    ds = _load_dataset(args)
+    ds = Dataset(*_load_inputs(args))
     text_labels = load_labels(args.text_labels) if args.text_labels else None
     cfg = _trainer_config(args, args.alpha, args.seed)
     header = ["epoch", "total_loss", "val_recall_at_10", "val_bias_at_10"]
@@ -322,7 +318,7 @@ def cmd_sweep_alpha(args):
     seeds = [args.seed] if args.seeds is None else args.seeds
     if not seeds:
         raise DataError("--seeds needs at least one seed")
-    ds = _load_dataset(args)
+    ds = Dataset(*_load_inputs(args))
     text_labels = load_labels(args.text_labels) if args.text_labels else None
     if args.epochs < 1:
         raise DataError("sweep-alpha needs --epochs >= 1")
@@ -365,9 +361,7 @@ def cmd_sweep_alpha(args):
 
 
 def cmd_sweep_m(args):
-    images, texts = _load_pair(args.images, args.texts)
-    labels = load_labels(args.labels)
-    truth = load_truth(args.truth)
+    images, texts, labels, truth = _load_inputs(args)
     m_list = sorted(set(args.m_list))
     if not m_list or m_list[0] < 0:
         raise DataError("--m-list needs m values >= 0")
@@ -441,6 +435,10 @@ def build_parser():
         )
         return sp
 
+    def add_data_flags(sp):
+        for flag in ("--images", "--texts", "--labels", "--truth"):
+            sp.add_argument(flag, required=True)
+
     sp = add("synth", cmd_synth, "Generate a synthetic benchmark with planted gender dimensions.")
     sp.add_argument("--n-images", type=int, default=1000)
     sp.add_argument("--n-texts", type=int, default=1000)
@@ -470,10 +468,7 @@ def build_parser():
     sp.add_argument("-k", type=int, default=10)
 
     sp = add("evaluate", cmd_evaluate, "Compute Bias@K and Recall@K reports with a per-k curve.")
-    sp.add_argument("--images", required=True)
-    sp.add_argument("--texts", required=True)
-    sp.add_argument("--labels", required=True)
-    sp.add_argument("--truth", required=True)
+    add_data_flags(sp)
     sp.add_argument("--k-list", type=_int_list, default=[1, 5, 10])
     sp.add_argument("--clip-plan", default=None, help="apply this plan to both tables first")
     sp.add_argument(
@@ -491,10 +486,7 @@ def build_parser():
     sp.add_argument("--plan", required=True)
 
     def add_trainer_flags(sp, with_alpha=True):
-        sp.add_argument("--images", required=True)
-        sp.add_argument("--texts", required=True)
-        sp.add_argument("--labels", required=True)
-        sp.add_argument("--truth", required=True)
+        add_data_flags(sp)
         sp.add_argument("--gamma", type=float, default=0.2, help="hinge margin")
         if with_alpha:
             sp.add_argument("--alpha", type=float, default=0.4, help="fair-loss weight")
@@ -537,10 +529,7 @@ def build_parser():
         cmd_sweep_m,
         "Evaluate bias/recall across clip sizes with bootstrap error bars.",
     )
-    sp.add_argument("--images", required=True)
-    sp.add_argument("--texts", required=True)
-    sp.add_argument("--labels", required=True)
-    sp.add_argument("--truth", required=True)
+    add_data_flags(sp)
     sp.add_argument("--m-list", type=_int_list, required=True)
     sp.add_argument("--bins", type=int, default=20)
 

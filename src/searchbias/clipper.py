@@ -10,11 +10,12 @@ clipped set for m is always a prefix of the set for m' > m.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _NUMBER_TYPES, DataError, EmbeddingTable, _read_utf8, gender_codes
+from .core import _NUMBER_TYPES, DataError, EmbeddingTable, _json_object, _read_utf8, gender_codes
 
 
 def estimate_mi(column, codes, bins=20):
@@ -75,6 +76,9 @@ class ClipPlan:
             raise DataError(f"plan dim must be an integer >= 1, got {self.dim!r}")
         if len(self.mi) != self.dim:
             raise DataError(f"plan has {len(self.mi)} scores for dim {self.dim}")
+        # Then `save` writes only what `load` reads back: JSON has no NaN or inf.
+        if not all(map(math.isfinite, self.mi)):
+            raise DataError("plan scores must be finite")
         seen = set()
         for z in self.clipped:
             if type(z) is not int or not 0 <= z < self.dim:
@@ -107,15 +111,7 @@ class ClipPlan:
 
     @classmethod
     def from_json(cls, text):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"invalid clip plan JSON ({exc.msg})") from None
-        if not isinstance(obj, dict):
-            raise DataError("clip plan JSON must be an object")
-        for key in ("dim", "mi", "clipped"):
-            if key not in obj:
-                raise DataError(f"clip plan JSON missing {key!r}")
+        obj = _json_object(text, "clip plan", ("dim", "mi", "clipped"))
         if not isinstance(obj["mi"], list) or not set(map(type, obj["mi"])) <= _NUMBER_TYPES:
             raise DataError("clip plan 'mi' must be a list of numbers")
         if not isinstance(obj["clipped"], list):

@@ -1,7 +1,9 @@
 """Data model: embedding tables, gender labels, datasets, and synthetic fixtures.
 
-All persistent formats are line-oriented JSON (JSONL) so tables can be streamed,
-diffed, and produced by external encoders without this package installed.
+Tables, labels and truth are line-oriented JSON (JSONL) so they can be streamed,
+diffed, and produced by external encoders without this package installed. The
+other inputs (clip plans, lexicons, checkpoints) are one JSON object each, and
+both kinds decode through orjson with the same strict rules.
 """
 
 from __future__ import annotations
@@ -142,6 +144,22 @@ def _read_utf8(path):
             return fh.read()
         except UnicodeDecodeError:
             raise DataError(f"{path}: not UTF-8 text") from None
+
+
+def _json_object(text, what, keys):
+    """The JSON object in `text`, decoded as strictly as a JSONL line; a
+    DataError names the document `what` if `text` is not strict JSON, not an
+    object, or lacks one of `keys`."""
+    try:
+        obj = orjson.loads(text)
+    except orjson.JSONDecodeError as exc:
+        raise DataError(f"invalid {what} JSON ({exc.msg})") from None
+    if not isinstance(obj, dict):
+        raise DataError(f"{what} JSON must be an object")
+    for key in keys:
+        if key not in obj:
+            raise DataError(f"{what} JSON missing {key!r}")
+    return obj
 
 
 def _parse_jsonl(path):

@@ -20,7 +20,7 @@ from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_ascii
 from types import MappingProxyType
 
-from .core import DataError, GenderLabel, _parse_jsonl, _read_utf8
+from .core import DataError, GenderLabel, _json_object, _parse_jsonl, _read_utf8
 
 # A token is a run of ASCII letters. The group makes split() keep the words
 # between the gaps; findall() returns the words either way.
@@ -162,29 +162,15 @@ class GenderLexicon:
 
     @classmethod
     def from_json(cls, text):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"invalid lexicon JSON ({exc.msg})") from None
-        if not isinstance(obj, dict):
-            raise DataError("lexicon JSON must be an object")
-        for key in ("masculine", "feminine", "neutral", "replacement"):
-            if key not in obj:
-                raise DataError(f"lexicon JSON missing {key!r}")
-        for key in ("masculine", "feminine", "neutral"):
+        lists = ("masculine", "feminine", "neutral")
+        obj = _json_object(text, "lexicon", (*lists, "replacement"))
+        for key in lists:
             if not isinstance(obj[key], list) or not all(isinstance(w, str) for w in obj[key]):
                 raise DataError(f"lexicon {key!r} must be a list of words")
         repl = obj["replacement"]
-        if not isinstance(repl, dict) or not all(
-            v is None or isinstance(v, str) for v in repl.values()
-        ):
+        if not isinstance(repl, dict) or not all(v is None or isinstance(v, str) for v in repl.values()):
             raise DataError("lexicon 'replacement' must map each word to a word or null")
-        return cls(
-            masculine=frozenset(obj["masculine"]),
-            feminine=frozenset(obj["feminine"]),
-            neutral=frozenset(obj["neutral"]),
-            replacement=dict(obj["replacement"]),
-        )
+        return cls(*(frozenset(obj[key]) for key in lists), replacement=repl)
 
     @classmethod
     def load(cls, path):

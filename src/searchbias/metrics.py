@@ -173,25 +173,22 @@ class OccupationBiasReport:
 
 
 def occupation_bias_report(terms, images, labels, warn=None):
-    """Score every term in the `terms` table, skipping undefined ones.
+    """Score every term in the `terms` table.
 
-    `warn` is called with a message for each skipped term. Errors out if no
-    term is scorable at all.
+    Raises DataError if the table is empty, or if the images lack a gender
+    class, which leaves every term undefined; `warn`, if given, is first
+    called with a message per term. A returned report skips no term.
     """
-    per_occupation = {}
-    skipped = []
+    if len(terms) == 0:
+        raise DataError("the occupation term table is empty")
     try:
         means = _class_means(images, labels)
-        per_occupation = {term_id: _gap(vec, means) for term_id, vec in terms.records()}
     except UndefinedBiasError:
         # The classes belong to the image table, so every term is undefined.
-        skipped = list(terms.ids)
         if warn is not None:
-            for term_id in skipped:
+            for term_id in terms.ids:
                 warn(f"occupation {term_id!r}: missing a gender class, excluded from the mean")
-    if not per_occupation:
-        raise DataError("no occupation term had both Male and Female images to compare")
+        raise DataError("no occupation term had both Male and Female images to compare") from None
+    per_occupation = {term_id: _gap(vec, means) for term_id, vec in terms.records()}
     mean_abs = math.fsum(abs(b) for b in per_occupation.values()) / len(per_occupation)
-    return OccupationBiasReport(
-        per_occupation=per_occupation, mean_abs_bias=mean_abs, skipped=skipped
-    )
+    return OccupationBiasReport(per_occupation=per_occupation, mean_abs_bias=mean_abs, skipped=[])

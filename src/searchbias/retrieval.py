@@ -97,15 +97,15 @@ def _rank_block(queries, qnorms, images, inorms, k):
             queries[q] / qnorms[q, None], vectors[i] / inorms[i, None]
         )
     np.clip(exact, -1.0, 1.0, out=exact)
+    # Candidates come by query, then in ascending image row, so one stable
+    # sort by (query, -score) breaks ties by file order. Every query has at
+    # least min(k, n) candidates; its first that many are its top k.
+    order = np.lexsort((-exact, qrow))
+    starts = np.searchsorted(qrow, np.arange(len(queries)))
+    keep = order[starts[:, None] + np.arange(min(k, n))]
     ids = images.ids
-    bounds = np.searchsorted(qrow, np.arange(len(queries) + 1)).tolist()
-    ranked = []
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        # A query's candidates come in ascending image row, so a stable sort
-        # on -score breaks ties by file order.
-        keep = start + np.argsort(-exact[start:stop], kind="stable")[:k]
-        ranked.append([(ids[i], s) for i, s in zip(irow[keep].tolist(), exact[keep].tolist())])
-    return ranked
+    rows, scores = irow[keep].tolist(), exact[keep].tolist()
+    return [[(ids[i], s) for i, s in zip(r, sc)] for r, sc in zip(rows, scores)]
 
 
 def _rank(queries, images, k, threads=1):

@@ -24,11 +24,12 @@ import json
 import math
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, replace
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import DataError, Dataset, EmbeddingTable, gender_codes
+from .core import _NUMBER_TYPES, DataError, Dataset, EmbeddingTable, _json_object, _read_utf8, gender_codes
 from .metrics import bias_at_k, recall_at_k
 from .retrieval import retrieve_all
 
@@ -64,10 +65,14 @@ class TrainerConfig:
 
     @classmethod
     def from_dict(cls, obj):
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(obj) - known
+        fields = cls.__dataclass_fields__
+        extra = set(obj) - set(fields)
         if extra:
             raise DataError(f"unknown trainer config keys: {sorted(extra)}")
+        types = {"float": _NUMBER_TYPES, "int": {int}, "bool": {bool}}  # bool is no int here
+        for key, value in obj.items():
+            if type(value) not in types[fields[key].type]:
+                raise DataError(f"trainer config {key!r} must be {fields[key].type}, got {value!r}")
         return cls(**obj)
 
 
@@ -168,17 +173,20 @@ class LinearEncoders:
 
     @classmethod
     def load(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: invalid checkpoint JSON ({exc.msg})") from None
+        obj = _json_object(_read_utf8(path), "checkpoint", ("w_img", "w_txt"))
         for key in ("w_img", "w_txt"):
-            if key not in obj:
-                raise DataError(f"{path}: checkpoint missing {key!r}")
-        enc = cls(w_img=np.asarray(obj["w_img"]), w_txt=np.asarray(obj["w_txt"]))
-        cfg = TrainerConfig.from_dict(obj["cfg"]) if obj.get("cfg") else None
-        return enc, cfg
+            rows = obj[key]
+            if not (
+                isinstance(rows, list)
+                and all(type(row) is list and len(row) == len(rows[0]) for row in rows)
+                and set(map(type, chain.from_iterable(rows))) <= _NUMBER_TYPES
+            ):
+                raise DataError(f"checkpoint {key!r} must be a list of equal-length lists of numbers")
+        cfg = obj.get("cfg")
+        if cfg is not None and not isinstance(cfg, dict):
+            raise DataError("checkpoint 'cfg' must be an object or null")
+        enc = cls(w_img=obj["w_img"], w_txt=obj["w_txt"])
+        return enc, TrainerConfig.from_dict(cfg) if cfg else None
 
 
 def _similarity(batch, w_img, w_txt):

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import searchbias.trainer as trainer
 from searchbias.cli import main
 from searchbias.clipper import ClipPlan
 from searchbias.core import DataError, load_embeddings
+from searchbias.gender_text import GenderLexicon
 from searchbias.retrieval import retrieve_all
 
 
@@ -458,26 +460,34 @@ def _awkward_eval_inputs(tmp_path):
 
 
 def test_evaluate_outputs_are_pinned(tmp_path):
-    """evaluate --per-query writes these exact bytes, ids quoted as csv.writer quotes them."""
+    """evaluate --per-query writes these exact bytes, ids quoted so csv.reader reads them back."""
     out = tmp_path / "eval"
     assert main(["evaluate", *_awkward_eval_inputs(tmp_path), "--k-list", "1,3,7",
                  "--per-query", "--out-dir", str(out)]) == 0
     per_query = (out / "per_query.csv").read_bytes()
     assert per_query.startswith(b'text_id,k,delta\n"a,b",1,')
-    # csv.writer quotes "\n" but, with a "\n" line terminator, not a lone "\r".
-    assert b'\n"line\nbreak",7,' in per_query and b"\ncarriage\rreturn,1," in per_query
+    # A lone "\r" is quoted like "\n", which csv.writer with a "\n" terminator does not do.
+    assert b'\n"line\nbreak",7,' in per_query and b'\n"carriage\rreturn",1,' in per_query
+    with open(out / "per_query.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["text_id", "k", "delta"]
+    assert [row[0] for row in rows[1::7]] == _AWKWARD_TEXT_IDS
+    assert [row[1] for row in rows[1:8]] == [str(k) for k in range(1, 8)]
     names = ["per_query.csv", "curve.csv", "report.json"]
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
-    # Computed with the per-query writer that ran csv.writer over one list per row.
+    # Computed with the per-query writer that ran csv.writer over one list per
+    # row; per_query.csv's then differed only in the bare "carriage\rreturn".
     assert digests == {
-        "per_query.csv": "36822be0a2e6510e628cc08ed3c55365dcb1553912a477a03c59b4a7e93ee35c",
+        "per_query.csv": "d6f9e85d77ed0a677def5dd4eb9720eb1186537f144fdb9e80c873d318d65638",
         "curve.csv": "43902693dfeb0cd9f1b7c995a91ab05c34a844c831c95955d23a9f6b4d769774",
         "report.json": "cb2dad1b4b2a22f5cb352a194f8a56e6fabaed255e2f0558a19b5ad4e1051a31",
     }
 
 
 def test_per_query_writer_matches_csv_writer_rows(tmp_path):
-    """Signed zeros, exponents and round-off digits come out as csv.writer writes them."""
+    """Signed zeros, exponents and round-off digits come out as csv.writer writes
+    them, and every id but one whose only special character is "\\r" is quoted as
+    csv.writer quotes it."""
     values = [-0.0, 0.0, 1e-05, 0.1 + 0.2, 1.0, -1.0, 1 / 3, 5e-324]
     deltas = np.array([values, values[::-1], values[2:] + values[:2]])
     text_ids = ["a,b", "café\r", " x"]
@@ -492,8 +502,26 @@ def test_per_query_writer_matches_csv_writer_rows(tmp_path):
         writer.writerow(["text_id", "k", "delta"])
         writer.writerows(rows)
     written = (tmp_path / "new.csv").read_bytes()
-    assert written == (tmp_path / "old.csv").read_bytes()
+    # csv.writer leaves "café\r" bare; the per-query writer quotes it.
+    old = (tmp_path / "old.csv").read_bytes()
+    assert written == old.replace(b"\ncaf\xc3\xa9\r,", b'\n"caf\xc3\xa9\r",')
+    assert written.count(b'\n"caf\xc3\xa9\r",') == len(values)
     assert b'"a,b",1,-0.0\n"a,b",2,0.0\n"a,b",3,1e-05\n"a,b",4,0.30000000000000004\n' in written
+    with open(tmp_path / "new.csv", encoding="utf-8", newline="") as fh:
+        assert list(csv.reader(fh))[1:] == [[t, str(k), repr(d)] for t, k, d in rows]
+
+
+def test_per_query_ids_read_back_through_csv_reader(tmp_path):
+    """Every id, however awkward, is the first field csv.reader reads from its rows."""
+    rng = random.Random(9)
+    alphabet = ['a', 'é', ',', '"', '\r', '\n', ' ', '\t', "'", '\U0001f600']
+    text_ids = _AWKWARD_TEXT_IDS + [
+        "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 6))) for _ in range(400)
+    ]
+    cli._write_per_query(tmp_path / "pq.csv", text_ids, np.zeros((len(text_ids), 2)))
+    with open(tmp_path / "pq.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1:] == [[t, str(k), "0.0"] for t in text_ids for k in (1, 2)]
 
 
 def _pinned_trainer_inputs(tmp_path):
@@ -621,6 +649,58 @@ def test_occupation_bias_output(data_dir, tmp_path):
     assert len(obj["per_occupation"]) == 4
     want = np.mean([abs(v) for v in obj["per_occupation"].values()])
     assert obj["mean_abs_bias"] == pytest.approx(want, abs=1e-12)
+
+
+def test_occupation_bias_names_an_empty_term_table(data_dir, tmp_path, capsys):
+    terms = tmp_path / "terms.jsonl"
+    terms.write_text('{"dim": 12}\n')
+    out = tmp_path / "occ"
+    assert main(["occupation-bias", "--terms", str(terms),
+                 "--images", str(data_dir / "images.jsonl"),
+                 "--labels", str(data_dir / "labels.jsonl"), "--out-dir", str(out)]) == 2
+    assert "error: the occupation term table is empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_manifest_inputs_are_the_digests_of_every_file_flag(data_dir, tmp_path):
+    """Each command records exactly the files its flags name, by the SHA-256 of their bytes."""
+    files = {f"--{name}": str(data_dir / f"{name}.jsonl") for name in ("images", "texts", "labels", "truth")}
+    files["--embeddings"] = files["--images"]
+    files["--plan"] = files["--clip-plan"] = str(tmp_path / "plan.json")
+    ClipPlan(dim=12, mi=[0.5] + [0.0] * 11, clipped=[0]).save(files["--plan"])
+    files["--lexicon"] = str(tmp_path / "lexicon.json")
+    GenderLexicon.default().save(files["--lexicon"])
+    files["--captions"] = str(tmp_path / "captions.jsonl")
+    (tmp_path / "captions.jsonl").write_text('{"id": "c1", "image_id": "i1", "text": "A man"}\n')
+    files["--text-labels"] = str(tmp_path / "text_labels.jsonl")
+    (tmp_path / "text_labels.jsonl").write_text("".join(
+        json.dumps({"id": t, "gender": "neutral"}) + "\n" for t in load_embeddings(files["--texts"]).ids
+    ))
+    files["--terms"] = str(tmp_path / "terms.jsonl")
+    (tmp_path / "terms.jsonl").write_text(json.dumps({"id": "nurse", "vector": [1.0] * 12}) + "\n")
+    data = ["--images", "--texts", "--labels", "--truth"]
+    training = ["--text-labels", "--epochs", "1", "--batch-size", "32", "--emb-dim", "4"]
+    commands = {
+        "label": ["--captions", "--lexicon"],
+        "neutralize": ["--captions", "--lexicon"],
+        "retrieve": ["--images", "--texts"],
+        "evaluate": [*data, "--clip-plan"],
+        "clip-fit": ["--images", "--labels", "-m", "1"],
+        "clip-apply": ["--embeddings", "--plan"],
+        "train": [*data, *training],
+        "sweep-alpha": [*data, *training, "--alphas", "0,1"],
+        "sweep-m": [*data, "--m-list", "0,1"],
+        "occupation-bias": ["--terms", "--images", "--labels"],
+    }
+    for command, argv in commands.items():
+        # Each file flag is followed by its path; the other arguments pass as they are.
+        paths = [files[arg] for arg in argv if arg in files]
+        argv = [part for arg in argv for part in ([arg, files[arg]] if arg in files else [arg])]
+        out = tmp_path / command
+        assert main([command, *argv, "--out-dir", str(out)]) == 0, command
+        manifest = json.loads((out / "manifest.json").read_text())
+        want = {path: hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in paths}
+        assert manifest["inputs"] == want, command
 
 
 def test_exit_codes(tmp_path, capsys, monkeypatch):

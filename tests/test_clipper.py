@@ -152,6 +152,13 @@ def test_plan_validation():
         ClipPlan(dim=3, mi=[0.1, 0.2, 0.3], clipped=[0, 0])
     with pytest.raises(DataError):
         ClipPlan.from_json('{"dim": 3, "mi": [1.0, 0.5, 0.1], "clipped": [0], "m": 2}')
+    # A plan holds only scores that JSON can write, so `save` never writes a
+    # plan that `load` refuses.
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DataError, match="finite"):
+            ClipPlan(dim=2, mi=[bad, 1.0], clipped=[0])
+    with pytest.raises(DataError, match="invalid clip plan JSON"):
+        ClipPlan.from_json('{"dim": 2, "mi": [NaN, 1e400], "clipped": [0]}')
     # JSON of the wrong types, as a user's plan file may hold.
     for text in (
         "7",

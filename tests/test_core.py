@@ -22,7 +22,8 @@ from searchbias.core import (
     save_truth,
     synth_dataset,
 )
-from searchbias.gender_text import load_captions
+from searchbias.gender_text import GenderLexicon, load_captions
+from searchbias.trainer import LinearEncoders, TrainerConfig
 
 
 def small_table():
@@ -273,6 +274,61 @@ def test_save_embeddings_writes_the_json_dumps_bytes(tmp_path):
 
     save_embeddings(EmbeddingTable([], np.zeros((0, 3))), path)
     assert path.read_bytes() == _json_lines([{"dim": 3}])
+
+
+# Each JSON document: its name in errors, its required keys, a saved instance
+# and its loader, and how to save what the loader returns.
+_JSON_DOCUMENTS = {
+    "clip plan": (
+        ("dim", "mi", "clipped"),
+        lambda path: ClipPlan(dim=3, mi=[0.5, 0.0, 1 / 3], clipped=[2, 0]).save(path),
+        ClipPlan.load,
+        lambda plan, path: plan.save(path),
+    ),
+    "lexicon": (
+        ("masculine", "feminine", "neutral", "replacement"),
+        lambda path: GenderLexicon.default().save(path),
+        GenderLexicon.load,
+        lambda lexicon, path: lexicon.save(path),
+    ),
+    "checkpoint": (
+        ("w_img", "w_txt"),
+        lambda path: LinearEncoders.init(3, 2, np.random.default_rng(1)).save(path, TrainerConfig(seed=4)),
+        LinearEncoders.load,
+        lambda loaded, path: loaded[0].save(path, loaded[1]),
+    ),
+}
+
+
+@pytest.mark.parametrize("what", sorted(_JSON_DOCUMENTS))
+def test_json_documents_round_trip_and_are_strict(tmp_path, what):
+    """Plans, lexicons and checkpoints decode as strictly as JSONL lines."""
+    keys, save, load, resave = _JSON_DOCUMENTS[what]
+    path, again = tmp_path / "doc.json", tmp_path / "again.json"
+    save(path)
+    resave(load(path), again)
+    assert again.read_bytes() == path.read_bytes()
+    body = path.read_bytes().strip()
+    # An extra key is ignored, so only its value can make the document fail.
+    path.write_bytes(b'{"extra": 0, ' + body[1:])
+    load(path)
+    for value in (b"NaN", b"Infinity", b"-Infinity", b"1e400", b"1" + b"0" * 400, b'"\\ud800"'):
+        path.write_bytes(b'{"extra": ' + value + b", " + body[1:])
+        with pytest.raises(DataError, match=f"^invalid {what} JSON \\("):
+            load(path)
+    path.write_bytes(b'{"extra": "caf\xe9", ' + body[1:])
+    with pytest.raises(DataError, match="not UTF-8 text"):
+        load(path)
+    for text in (b"[" + body + b"]", b"5", b'"' + keys[0].encode() + b'"'):
+        path.write_bytes(text)
+        with pytest.raises(DataError, match=f"^{what} JSON must be an object$"):
+            load(path)
+    for key in keys:
+        obj = json.loads(body)
+        del obj[key]
+        path.write_text(json.dumps(obj))
+        with pytest.raises(DataError, match=f"^{what} JSON missing {key!r}$"):
+            load(path)
 
 
 def test_label_and_truth_writers_write_the_json_dumps_bytes(tmp_path):

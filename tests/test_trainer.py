@@ -402,6 +402,27 @@ def test_encoders_init_save_load(tmp_path):
     path.write_text(json.dumps({"w_img": [[1.0]]}))
     with pytest.raises(DataError, match="w_txt"):
         LinearEncoders.load(path)
+    # Malformed values are data errors that name their key.
+    good = {"w_img": [[1.0, 0.0]], "w_txt": [[0.0, 1.0]], "cfg": None}
+    for bad, key in (
+        ({"w_img": [[1.0, 0.0], [1.0]]}, "w_img"),
+        ({"w_txt": [[0.0], 1.0]}, "w_txt"),
+        ({"w_img": [["1.0", 0.0]]}, "w_img"),
+        ({"w_txt": [[True, 1.0]]}, "w_txt"),
+        ({"w_img": [[None, 1.0]]}, "w_img"),
+        ({"w_txt": 5}, "w_txt"),
+        ({"cfg": 5}, "cfg"),
+        ({"cfg": ["gamma"]}, "cfg"),
+        ({"cfg": {"gamma": "x"}}, "gamma"),
+        ({"cfg": {"epochs": 2.5}}, "epochs"),
+        ({"cfg": {"mc_negatives": 1}}, "mc_negatives"),
+        ({"cfg": {"seed": True}}, "seed"),
+    ):
+        path.write_text(json.dumps({**good, **bad}))
+        with pytest.raises(DataError, match=repr(key)):
+            LinearEncoders.load(path)
+    path.write_text(json.dumps({**good, "cfg": {"gamma": 1, "epochs": 2}}))
+    assert LinearEncoders.load(path)[1] == TrainerConfig(gamma=1.0, epochs=2)
     with pytest.raises(DataError):
         LinearEncoders(w_img=np.array([[np.inf]]), w_txt=np.array([[1.0]]))
 
