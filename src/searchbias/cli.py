@@ -6,12 +6,16 @@ timestamps), so rerunning the same invocation reproduces every file byte for
 byte. Each run also writes a manifest.json recording the command, arguments,
 seed, SHA-256 digests of the input files, and the tool version.
 
+Outside the out-dir, embedding tables read from regular files are cached in
+$SEARCHBIAS_CACHE_DIR (default ${XDG_CACHE_HOME:-~/.cache}/searchbias; set it
+empty to turn the cache off), so a later command that reads the same bytes
+skips parsing them; see `core.load_embeddings`. No output depends on it.
+
 Exit codes: 0 success, 2 validation/data error, 3 runtime or numerical error.
 """
 
 import argparse
 import csv
-import hashlib
 import json
 import math
 import os
@@ -24,6 +28,7 @@ from .clipper import ClipPlan, apply_clip, fit_clip_plan
 from .core import (
     DataError,
     Dataset,
+    _sha256,
     load_embeddings,
     load_labels,
     load_truth,
@@ -61,14 +66,6 @@ def _float_list(text):
 def _out_path(args, name):
     os.makedirs(args.out_dir, exist_ok=True)
     return os.path.join(args.out_dir, name)
-
-
-def _sha256(path):
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def _write_manifest(args, input_paths):
@@ -399,7 +396,7 @@ def cmd_occupation(args):
     images = load_embeddings(args.images)
     labels = load_labels(args.labels)
     terms = load_embeddings(args.terms, expected_dim=images.dim)
-    report = occupation_bias_report(terms, images, labels, warn=_warn)
+    report = occupation_bias_report(terms, images, labels)
     _write_json(
         _out_path(args, "occupation_bias.json"),
         {

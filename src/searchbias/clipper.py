@@ -117,8 +117,9 @@ class ClipPlan:
         if not isinstance(obj["clipped"], list):
             raise DataError("clip plan 'clipped' must be a list of dimension indices")
         plan = cls(dim=obj["dim"], mi=[float(x) for x in obj["mi"]], clipped=obj["clipped"])
-        if "m" in obj and obj["m"] != plan.m:
-            raise DataError(f"clip plan m={obj['m']} disagrees with {plan.m} clipped indices")
+        # An exact int, as for `dim` and `clipped`: `true` and `1.0` are refused.
+        if "m" in obj and (type(obj["m"]) is not int or obj["m"] != plan.m):
+            raise DataError(f"clip plan m={obj['m']!r} disagrees with {plan.m} clipped indices")
         return plan
 
     def save(self, path):

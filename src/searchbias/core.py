@@ -4,12 +4,23 @@ Tables, labels and truth are line-oriented JSON (JSONL) so they can be streamed,
 diffed, and produced by external encoders without this package installed. The
 other inputs (clip plans, lexicons, checkpoints) are one JSON object each, and
 both kinds decode through orjson with the same strict rules.
+
+Parsed embedding tables are also kept in a per-user binary cache keyed by the
+SHA-256 of the file's bytes, so a table read again by a later command skips
+the JSON decoding (see `load_embeddings`).
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
+import os
+import re
+import stat
+import tempfile
 from array import array
+from contextlib import suppress
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii
@@ -162,14 +173,51 @@ def _json_object(text, what, keys):
     return obj
 
 
-def _parse_jsonl(path):
+def _sha256(path):
+    """The SHA-256 hex digest of the bytes of `path`, read in chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(65536), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+class _HashingReader(io.RawIOBase):
+    """A raw binary file that feeds every byte read from it into `sha`."""
+
+    def __init__(self, fh, sha):
+        super().__init__()
+        self._fh = fh
+        self._sha = sha
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        n = self._fh.readinto(buffer)
+        self._sha.update(buffer[:n])
+        return n
+
+    def close(self):
+        self._fh.close()
+        super().close()
+
+
+def _parse_jsonl(path, sha=None):
     """Yield (line_number, parsed_object) for every non-empty line of `path`.
 
     Lines are strict JSON (RFC 8259), decoded by orjson. Bytes that are not
     UTF-8 become lone surrogates, which orjson refuses, so they are reported
     as invalid JSON at their own line, in file order with every other error.
+    Given `sha`, a hashlib object, every byte read is fed to it; the text
+    layer is the same, so lines and messages do not change.
     """
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    if sha is None:
+        fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
+    else:
+        raw = io.BufferedReader(_HashingReader(open(path, "rb", buffering=0), sha))
+        fh = io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape")
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -199,6 +247,84 @@ def _check_rows(path, rows, linenos, ids):
         raise DataError(f"{path}, line {linenos[i]} (id {ids[i]!r}): {problem}")
 
 
+# The table cache never holds more than this many bytes of entries.
+_CACHE_CAP_BYTES = 1 << 30
+# Entries are named by the digest of their table file; `.tmp` files are
+# entries being written.
+_CACHE_FILE = re.compile(r"[0-9a-f]{64}\.table(\.[0-9a-z_]+\.tmp)?")
+
+
+def _cache_dir():
+    """The table cache directory, or None if SEARCHBIAS_CACHE_DIR is set empty."""
+    path = os.environ.get("SEARCHBIAS_CACHE_DIR")
+    if path is None:
+        base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+        path = os.path.join(base, "searchbias")
+    return path or None
+
+
+def _cached_table(cache, digest, expected_dim):
+    """The table stored under `digest`, or None if no usable entry exists.
+
+    An entry is the float64 matrix in .npy form followed by the ids as one
+    JSON array. Anything unreadable or not exactly that is a miss, and the
+    table must pass every `EmbeddingTable` check again.
+    """
+    entry = os.path.join(cache, digest + ".table")
+    try:
+        with open(entry, "rb") as fh:
+            vectors = np.lib.format.read_array(fh, allow_pickle=False)
+            ids = orjson.loads(fh.read())
+        if (
+            vectors.dtype != np.float64
+            or vectors.ndim != 2
+            or not vectors.flags.c_contiguous
+            or type(ids) is not list
+            or (expected_dim is not None and vectors.shape[1] != expected_dim)
+        ):
+            return None
+        table = EmbeddingTable(ids, vectors)
+    except (OSError, ValueError):  # ValueError: a bad .npy header, orjson, DataError
+        return None
+    # A hit makes the entry the most recently used.
+    with suppress(OSError):
+        os.utime(entry)
+    return table
+
+
+def _store_table(cache, digest, table):
+    """Store `table` under `digest`, then evict the least recently used
+    entries until the cache is within its cap. The cache only saves time, so
+    an OSError ends the store or the eviction without a message."""
+    try:
+        os.makedirs(cache, mode=0o700, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=digest + ".table.", suffix=".tmp", dir=cache)
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                np.lib.format.write_array(fh, table.vectors, allow_pickle=False)
+                fh.write(orjson.dumps(table.ids))
+            # Readers see the whole entry or none of it.
+            os.replace(tmp, os.path.join(cache, digest + ".table"))
+        except BaseException:
+            with suppress(OSError):
+                os.unlink(tmp)
+            raise
+        files = []
+        with os.scandir(cache) as it:
+            for item in it:
+                if _CACHE_FILE.fullmatch(item.name):
+                    st = item.stat(follow_symlinks=False)
+                    files.append((st.st_mtime_ns, item.path, st.st_size))
+        total = sum(size for _, _, size in files)
+        for _, item_path, size in sorted(files):
+            if total <= _CACHE_CAP_BYTES:
+                break
+            os.unlink(item_path)
+            total -= size
+    except OSError:
+        pass
+
+
 def load_embeddings(path, expected_dim=None):
     """Load an embedding table from JSONL.
 
@@ -206,7 +332,34 @@ def load_embeddings(path, expected_dim=None):
     header line is accepted (written by save_embeddings for empty tables);
     given `expected_dim`, a header that names another dim is an error.
     Errors name the offending line and id; the first bad line is reported.
+
+    A regular file's table is cached under the SHA-256 of its bytes in
+    $SEARCHBIAS_CACHE_DIR (default ${XDG_CACHE_HOME:-~/.cache}/searchbias;
+    empty turns the cache off), and a later load of the same bytes reads the
+    entry instead of parsing. The table, and every error, are the same.
     """
+    cache = _cache_dir()
+    digest = None
+    if cache is not None:
+        with suppress(OSError):
+            # A pipe or other special file is read once, by the parse.
+            if stat.S_ISREG(os.stat(path).st_mode):
+                digest = _sha256(path)
+    if digest is None:
+        return _parse_table(path, expected_dim)
+    table = _cached_table(cache, digest, expected_dim)
+    if table is None:
+        # Stored under the digest of the bytes parsed, which are not the
+        # bytes hashed above if the file changed in between.
+        sha = hashlib.sha256()
+        table = _parse_table(path, expected_dim, sha)
+        if len(table):
+            _store_table(cache, sha.hexdigest(), table)
+    return table
+
+
+def _parse_table(path, expected_dim, sha=None):
+    """The table in the JSONL file `path` (see `load_embeddings`)."""
     ids = []
     linenos = []
     seen = set()
@@ -216,7 +369,7 @@ def load_embeddings(path, expected_dim=None):
     header_dim = None
     error = None
     try:
-        for lineno, obj in _parse_jsonl(path):
+        for lineno, obj in _parse_jsonl(path, sha):
             if lineno == 1 and "dim" in obj and "id" not in obj:
                 # bool, a subclass of int, is refused.
                 if type(obj["dim"]) is not int or obj["dim"] < 1:

@@ -136,8 +136,9 @@ def _class_means(images, labels):
     codes = gender_codes(images.ids, labels)
     weights = np.array([codes == 1, codes == -1], dtype=np.float64)
     counts = weights.sum(axis=1)
-    if not counts.all():
-        raise UndefinedBiasError("no Male or no Female images; similarity gap undefined")
+    missing = [name for name, count in zip(("Male", "Female"), counts) if not count]
+    if missing:
+        raise UndefinedBiasError(f"no {' and no '.join(missing)} images; similarity gap undefined")
     # A weighted sum of the rows: no unit copy of the table is made.
     weights /= row_norms(images.vectors)
     return (weights @ images.vectors) / counts[:, None]
@@ -172,23 +173,17 @@ class OccupationBiasReport:
     skipped: list
 
 
-def occupation_bias_report(terms, images, labels, warn=None):
+def occupation_bias_report(terms, images, labels):
     """Score every term in the `terms` table.
 
-    Raises DataError if the table is empty, or if the images lack a gender
-    class, which leaves every term undefined; `warn`, if given, is first
-    called with a message per term. A returned report skips no term.
+    Raises DataError if the table is empty, or UndefinedBiasError (a
+    DataError) naming the missing class or classes if the images lack Male or
+    Female labels, which leaves every term undefined. A returned report skips
+    no term.
     """
     if len(terms) == 0:
         raise DataError("the occupation term table is empty")
-    try:
-        means = _class_means(images, labels)
-    except UndefinedBiasError:
-        # The classes belong to the image table, so every term is undefined.
-        if warn is not None:
-            for term_id in terms.ids:
-                warn(f"occupation {term_id!r}: missing a gender class, excluded from the mean")
-        raise DataError("no occupation term had both Male and Female images to compare") from None
+    means = _class_means(images, labels)
     per_occupation = {term_id: _gap(vec, means) for term_id, vec in terms.records()}
     mean_abs = math.fsum(abs(b) for b in per_occupation.values()) / len(per_occupation)
     return OccupationBiasReport(per_occupation=per_occupation, mean_abs_bias=mean_abs, skipped=[])

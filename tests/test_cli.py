@@ -133,6 +133,23 @@ def test_evaluate_rerun_byte_identical(data_dir, tmp_path):
     assert before == after
 
 
+def test_evaluate_cold_and_warm_table_cache_write_the_same_bytes(data_dir, tmp_path, table_cache):
+    out = tmp_path / "eval"
+    argv = ["evaluate", *dataset_args(data_dir), "--k-list", "1,5", "--per-query",
+            "--out-dir", str(out)]
+    assert list(table_cache.iterdir()) == []
+    assert main(argv) == 0
+    cold = {p.name: read_bytes(p) for p in out.iterdir()}
+    # One entry per table file: images and texts.
+    assert len(list(table_cache.iterdir())) == 2
+    for p in out.iterdir():
+        p.unlink()
+    assert main(argv) == 0
+    warm = {p.name: read_bytes(p) for p in out.iterdir()}
+    assert "manifest.json" in warm
+    assert warm == cold
+
+
 def test_clip_fit_apply_and_composition_equivalence(data_dir, tmp_path):
     plan_dir = tmp_path / "plan"
     rc = main(
@@ -659,6 +676,22 @@ def test_occupation_bias_names_an_empty_term_table(data_dir, tmp_path, capsys):
                  "--images", str(data_dir / "images.jsonl"),
                  "--labels", str(data_dir / "labels.jsonl"), "--out-dir", str(out)]) == 2
     assert "error: the occupation term table is empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_occupation_bias_names_a_missing_gender_class(data_dir, tmp_path, capsys):
+    terms = tmp_path / "terms.jsonl"
+    terms.write_text('{"id": "nurse", "vector": %s}\n' % json.dumps([1.0] * 12))
+    labels = tmp_path / "labels.jsonl"
+    with open(data_dir / "labels.jsonl") as src, open(labels, "w") as dst:
+        for line in src:
+            dst.write(json.dumps({**json.loads(line), "gender": "male"}) + "\n")
+    out = tmp_path / "occ"
+    assert main(["occupation-bias", "--terms", str(terms),
+                 "--images", str(data_dir / "images.jsonl"),
+                 "--labels", str(labels), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: no Female images; similarity gap undefined\n"
     assert not out.exists()
 
 

@@ -171,6 +171,8 @@ def test_plan_validation():
         '{"dim": 3, "mi": 3, "clipped": []}',
         '{"dim": "3", "mi": [1.0, 0.5, 0.1], "clipped": []}',
         '{"dim": true, "mi": [1.0], "clipped": []}',
+        '{"dim": 3, "m": true, "mi": [1.0, 0.5, 0.1], "clipped": [0]}',
+        '{"dim": 3, "m": 1.0, "mi": [1.0, 0.5, 0.1], "clipped": [0]}',
     ):
         with pytest.raises(DataError):
             ClipPlan.from_json(text)

@@ -3,10 +3,14 @@
 import hashlib
 import json
 import math
+import os
+import threading
 
 import numpy as np
+import orjson
 import pytest
 
+from searchbias import core
 from searchbias.clipper import ClipPlan, apply_clip
 from searchbias.core import (
     DataError,
@@ -274,6 +278,230 @@ def test_save_embeddings_writes_the_json_dumps_bytes(tmp_path):
 
     save_embeddings(EmbeddingTable([], np.zeros((0, 3))), path)
     assert path.read_bytes() == _json_lines([{"dim": 3}])
+
+
+def _count_parses(monkeypatch):
+    """The paths of the JSONL parses made from now on."""
+    calls = []
+    parse = core._parse_jsonl
+
+    def counted(path, *args):
+        calls.append(path)
+        return parse(path, *args)
+
+    monkeypatch.setattr(core, "_parse_jsonl", counted)
+    return calls
+
+
+def _cache_files(cache):
+    return sorted(p.name for p in cache.iterdir()) if cache.is_dir() else []
+
+
+def _entry_name(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest() + ".table"
+
+
+def _cacheable_table():
+    ids = ["a\x00", "astral \U0001d11e", 'quote " mark', "new\nline", "plain"]
+    rows = np.random.default_rng(5).standard_normal((len(ids), 6))
+    rows[0, :3] = -0.0, 5e-324, 1.7976931348623157e308
+    rows[4, 0] = 0.5
+    return EmbeddingTable(ids, rows)
+
+
+def test_table_cache_skips_the_parse_and_is_bitwise(tmp_path, table_cache, monkeypatch):
+    table = _cacheable_table()
+    path = tmp_path / "t.jsonl"
+    save_embeddings(table, path)
+    parses = _count_parses(monkeypatch)
+    loaded = [load_embeddings(path)]
+    assert len(parses) == 1
+    assert _cache_files(table_cache) == [_entry_name(path)]
+    loaded += [load_embeddings(path), load_embeddings(path, expected_dim=6)]
+    assert len(parses) == 1
+    for back in loaded:
+        assert back.ids == table.ids
+        assert back.vectors.tobytes() == table.vectors.tobytes()
+        assert not back.vectors.flags.writeable
+
+    # One byte changed is another table: a miss, stored beside the first.
+    data = path.read_bytes()
+    edited = data.replace(b'"plain", "vector": [0.5,', b'"plain", "vector": [0.7,')
+    assert len(edited) == len(data) and sum(a != b for a, b in zip(data, edited)) == 1
+    path.write_bytes(edited)
+    back = load_embeddings(path)
+    assert len(parses) == 2
+    assert back.vectors[4, 0] == 0.7
+    assert len(_cache_files(table_cache)) == 2
+
+
+def test_table_cache_stores_under_the_digest_of_the_bytes_parsed(tmp_path, table_cache, monkeypatch):
+    path = tmp_path / "t.jsonl"
+    save_embeddings(_cacheable_table(), path)
+    hashed = _entry_name(path)
+    edited = EmbeddingTable(["x"], [[1.0, 2.0]])
+    parse = core._parse_jsonl
+
+    def edit_then_parse(*args):
+        # The file changes after the loader hashed it and before it parses.
+        save_embeddings(edited, path)
+        return parse(*args)
+
+    monkeypatch.setattr(core, "_parse_jsonl", edit_then_parse)
+    assert load_embeddings(path) == edited
+    assert _cache_files(table_cache) == [_entry_name(path)] != [hashed]
+
+
+def _write_entry(path, vectors, ids):
+    with open(path, "wb") as fh:
+        np.lib.format.write_array(fh, vectors, allow_pickle=False)
+        fh.write(orjson.dumps(ids))
+
+
+_BAD_ENTRIES = {
+    "truncated vectors": lambda entry, good, table: entry.write_bytes(good[: len(good) // 2]),
+    "truncated ids": lambda entry, good, table: entry.write_bytes(good[:-3]),
+    "empty": lambda entry, good, table: entry.write_bytes(b""),
+    # Finite in float32, so only the dtype tells it from a good entry.
+    "float32": lambda entry, good, table: _write_entry(
+        entry, table.vectors.clip(-1e30, 1e30).astype(np.float32), list(table.ids)
+    ),
+    "Fortran order": lambda entry, good, table: _write_entry(
+        entry, np.asfortranarray(table.vectors), list(table.ids)
+    ),
+    "duplicate id": lambda entry, good, table: _write_entry(
+        entry, table.vectors, [table.ids[0], *table.ids[:-1]]
+    ),
+    "ids as one string": lambda entry, good, table: _write_entry(entry, table.vectors, "abcde"),
+    "one id too few": lambda entry, good, table: _write_entry(entry, table.vectors, list(table.ids[1:])),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(_BAD_ENTRIES))
+def test_table_cache_ignores_and_rewrites_a_bad_entry(tmp_path, table_cache, monkeypatch, damage):
+    table = _cacheable_table()
+    path = tmp_path / "t.jsonl"
+    save_embeddings(table, path)
+    load_embeddings(path)
+    entry = table_cache / _entry_name(path)
+    good = entry.read_bytes()
+    _BAD_ENTRIES[damage](entry, good, table)
+    assert entry.read_bytes() != good
+    parses = _count_parses(monkeypatch)
+    back = load_embeddings(path)
+    assert len(parses) == 1
+    assert back.ids == table.ids and back.vectors.tobytes() == table.vectors.tobytes()
+    assert back.vectors.flags.c_contiguous
+    assert entry.read_bytes() == good
+
+
+def test_table_cache_hit_keeps_the_dim_error(tmp_path, table_cache, monkeypatch):
+    path = tmp_path / "t.jsonl"
+    save_embeddings(_cacheable_table(), path)
+    monkeypatch.setenv("SEARCHBIAS_CACHE_DIR", "")
+    with pytest.raises(DataError) as cold:
+        load_embeddings(path, expected_dim=4)
+    monkeypatch.setenv("SEARCHBIAS_CACHE_DIR", str(table_cache))
+    load_embeddings(path)
+    with pytest.raises(DataError) as warm:
+        load_embeddings(path, expected_dim=4)
+    assert str(warm.value) == str(cold.value)
+    assert "line 1 (id 'a\\x00'): dimension mismatch, got 6, expected 4" in str(cold.value)
+
+
+def test_table_cache_stores_no_failed_or_empty_table(tmp_path, table_cache):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"id": "a", "vector": [1.0]}\n{"id": "a", "vector": [2.0]}\n')
+    messages = []
+    for _ in range(2):
+        with pytest.raises(DataError) as exc:
+            load_embeddings(path)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1] == f"{path}, line 2: duplicate id 'a'"
+    path.write_text('{"dim": 3}\n')
+    assert load_embeddings(path).dim == load_embeddings(path).dim == 3
+    assert _cache_files(table_cache) == []
+
+
+def test_table_cache_off_or_unwritable_loads_and_writes_nothing(tmp_path, table_cache, monkeypatch, capsys):
+    table = _cacheable_table()
+    path = tmp_path / "t.jsonl"
+    save_embeddings(table, path)
+    parses = _count_parses(monkeypatch)
+    blocker = tmp_path / "blocker"
+    blocker.write_bytes(b"")
+    # Empty turns the cache off; a file, or a directory under one, cannot hold it.
+    for cache in ("", str(blocker), str(blocker / "cache")):
+        monkeypatch.setenv("SEARCHBIAS_CACHE_DIR", cache)
+        for _ in range(2):
+            assert load_embeddings(path) == table
+    assert len(parses) == 6
+    assert blocker.read_bytes() == b""
+    assert _cache_files(table_cache) == []
+    assert capsys.readouterr() == ("", "")
+
+
+def test_table_cache_default_location(tmp_path, monkeypatch):
+    path = tmp_path / "t.jsonl"
+    save_embeddings(_cacheable_table(), path)
+    monkeypatch.delenv("SEARCHBIAS_CACHE_DIR")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    load_embeddings(path)
+    cache = tmp_path / "xdg" / "searchbias"
+    assert _cache_files(cache) == [_entry_name(path)]
+    # Entries are copies of the user's embeddings: only the user may read them.
+    assert cache.stat().st_mode & 0o777 == 0o700
+    assert (cache / _entry_name(path)).stat().st_mode & 0o777 == 0o600
+    monkeypatch.setenv("XDG_CACHE_HOME", "")
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    load_embeddings(path)
+    assert _cache_files(tmp_path / "home" / ".cache" / "searchbias") == [_entry_name(path)]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_table_cache_reads_a_pipe_once(tmp_path, table_cache):
+    table = _cacheable_table()
+    path = tmp_path / "t.jsonl"
+    save_embeddings(table, path)
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "wb") as fh:
+            fh.write(path.read_bytes())
+
+    loaded = []
+    # Daemon threads: a loader that opened the pipe twice would block forever.
+    threads = [
+        threading.Thread(target=write, daemon=True),
+        threading.Thread(target=lambda: loaded.append(load_embeddings(fifo)), daemon=True),
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    assert loaded == [table]
+    assert _cache_files(table_cache) == []
+
+
+def test_table_cache_evicts_the_least_recently_used(tmp_path, table_cache, monkeypatch):
+    paths = []
+    for i in range(4):
+        paths.append(tmp_path / f"t{i}.jsonl")
+        save_embeddings(EmbeddingTable(["r0", "r1", "r2"], np.full((3, 4), i + 1.0)), paths[-1])
+    names = [_entry_name(p) for p in paths]
+    for p in paths[:3]:
+        load_embeddings(p)
+    size = (table_cache / names[0]).stat().st_size
+    for age, name in enumerate(names[:3]):
+        os.utime(table_cache / name, ns=(age * 10**9, age * 10**9))
+    # A file that is not an entry is neither counted nor deleted.
+    (table_cache / "notes.txt").write_bytes(b"x" * 4 * size)
+    load_embeddings(paths[0])  # a hit makes the oldest entry the newest
+    monkeypatch.setattr(core, "_CACHE_CAP_BYTES", 2 * size + size // 2)
+    load_embeddings(paths[3])
+    assert _cache_files(table_cache) == sorted([names[0], names[3], "notes.txt"])
 
 
 # Each JSON document: its name in errors, its required keys, a saved instance

@@ -206,8 +206,12 @@ def test_occupation_report_skips_and_warns():
     )
     assert rep.skipped == []
 
-    warnings = []
-    only_male = {"m1": M, "f1": M}
-    with pytest.raises(DataError):
-        occupation_bias_report(terms, images, only_male, warn=warnings.append)
-    assert len(warnings) == 2
+    # A missing class leaves every term undefined: one error names the class
+    # or classes, with no per-term warnings before it.
+    for labels, missing in (
+        ({"m1": M, "f1": M}, "no Female images"),
+        ({"m1": F, "f1": F}, "no Male images"),
+        ({"m1": N, "f1": N}, "no Male and no Female images"),
+    ):
+        with pytest.raises(DataError, match=f"^{missing};"):
+            occupation_bias_report(terms, images, labels)
