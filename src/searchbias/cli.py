@@ -9,7 +9,8 @@ seed, SHA-256 digests of the input files, and the tool version.
 Outside the out-dir, embedding tables read from regular files are cached in
 $SEARCHBIAS_CACHE_DIR (default ${XDG_CACHE_HOME:-~/.cache}/searchbias; set it
 empty to turn the cache off), so a later command that reads the same bytes
-skips parsing them; see `core.load_embeddings`. No output depends on it.
+skips parsing them; see `core.load_embeddings`. A cache directory that other
+users may write to is not used. No output depends on it.
 
 Exit codes: 0 success, 2 validation/data error, 3 runtime or numerical error.
 """

@@ -203,21 +203,15 @@ class _HashingReader(io.RawIOBase):
         super().close()
 
 
-def _parse_jsonl(path, sha=None):
-    """Yield (line_number, parsed_object) for every non-empty line of `path`.
+def _parse_jsonl(path, raw):
+    """Yield (line_number, parsed_object) for every non-empty line of the
+    binary file `raw`, opened from `path`, and close it.
 
     Lines are strict JSON (RFC 8259), decoded by orjson. Bytes that are not
     UTF-8 become lone surrogates, which orjson refuses, so they are reported
     as invalid JSON at their own line, in file order with every other error.
-    Given `sha`, a hashlib object, every byte read is fed to it; the text
-    layer is the same, so lines and messages do not change.
     """
-    if sha is None:
-        fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
-    else:
-        raw = io.BufferedReader(_HashingReader(open(path, "rb", buffering=0), sha))
-        fh = io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape")
-    with fh:
+    with io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -263,16 +257,33 @@ def _cache_dir():
     return path or None
 
 
-def _cached_table(cache, digest, expected_dim):
-    """The table stored under `digest`, or None if no usable entry exists.
+def _private(st):
+    """Whether the file of the stat result `st` is this user's and no one
+    else may write to it."""
+    return st.st_uid == os.getuid() and not st.st_mode & 0o022
+
+
+def _cached_table(cache, path, expected_dim):
+    """The table of the file `path` from the cache, or None if it holds no
+    usable entry.
 
     An entry is the float64 matrix in .npy form followed by the ids as one
-    JSON array. Anything unreadable or not exactly that is a miss, and the
-    table must pass every `EmbeddingTable` check again.
+    JSON array, named by the SHA-256 of the file. It counts only if no other
+    user could have written it: the directory and the entry must be this
+    user's and writable by no one else. Anything unreadable or not exactly
+    that is a miss, and the table must pass every `EmbeddingTable` check again.
     """
-    entry = os.path.join(cache, digest + ".table")
     try:
-        with open(entry, "rb") as fh:
+        dir_fd = os.open(cache, os.O_RDONLY | os.O_DIRECTORY)
+    except OSError:
+        return None  # no cache yet, so no entry: the file need not be hashed
+    try:
+        if not _private(os.fstat(dir_fd)):
+            return None
+        name = _sha256(path) + ".table"
+        with open(name, "rb", opener=lambda file, flags: os.open(file, flags, dir_fd=dir_fd)) as fh:
+            if not _private(os.fstat(fh.fileno())):
+                return None
             vectors = np.lib.format.read_array(fh, allow_pickle=False)
             ids = orjson.loads(fh.read())
         if (
@@ -284,20 +295,28 @@ def _cached_table(cache, digest, expected_dim):
         ):
             return None
         table = EmbeddingTable(ids, vectors)
+        # A hit makes the entry the most recently used.
+        with suppress(OSError):
+            os.utime(name, dir_fd=dir_fd)
+        return table
     except (OSError, ValueError):  # ValueError: a bad .npy header, orjson, DataError
         return None
-    # A hit makes the entry the most recently used.
-    with suppress(OSError):
-        os.utime(entry)
-    return table
+    finally:
+        os.close(dir_fd)
 
 
 def _store_table(cache, digest, table):
     """Store `table` under `digest`, then evict the least recently used
     entries until the cache is within its cap. The cache only saves time, so
-    an OSError ends the store or the eviction without a message."""
+    an OSError ends the store or the eviction without a message, and nothing
+    is stored in a directory that other users may write to, or a table that
+    alone exceeds the cap, which would evict every entry and then itself."""
+    if table.vectors.nbytes > _CACHE_CAP_BYTES:
+        return
     try:
         os.makedirs(cache, mode=0o700, exist_ok=True)
+        if not _private(os.stat(cache)):
+            return
         fd, tmp = tempfile.mkstemp(prefix=digest + ".table.", suffix=".tmp", dir=cache)
         try:
             with os.fdopen(fd, "wb") as fh:
@@ -336,30 +355,29 @@ def load_embeddings(path, expected_dim=None):
     A regular file's table is cached under the SHA-256 of its bytes in
     $SEARCHBIAS_CACHE_DIR (default ${XDG_CACHE_HOME:-~/.cache}/searchbias;
     empty turns the cache off), and a later load of the same bytes reads the
-    entry instead of parsing. The table, and every error, are the same.
+    entry instead of parsing. The table, and every error, are the same. A
+    directory or entry that other users may write to is not used.
     """
     cache = _cache_dir()
-    digest = None
+    regular = False
     if cache is not None:
         with suppress(OSError):
             # A pipe or other special file is read once, by the parse.
-            if stat.S_ISREG(os.stat(path).st_mode):
-                digest = _sha256(path)
-    if digest is None:
-        return _parse_table(path, expected_dim)
-    table = _cached_table(cache, digest, expected_dim)
+            regular = stat.S_ISREG(os.stat(path).st_mode)
+    table = _cached_table(cache, path, expected_dim) if regular else None
     if table is None:
-        # Stored under the digest of the bytes parsed, which are not the
-        # bytes hashed above if the file changed in between.
         sha = hashlib.sha256()
         table = _parse_table(path, expected_dim, sha)
-        if len(table):
+        # Stored under the digest of the bytes parsed, which are not the
+        # bytes hashed for the lookup if the file changed in between.
+        if regular and len(table):
             _store_table(cache, sha.hexdigest(), table)
     return table
 
 
-def _parse_table(path, expected_dim, sha=None):
-    """The table in the JSONL file `path` (see `load_embeddings`)."""
+def _parse_table(path, expected_dim, sha):
+    """The table in the JSONL file `path` (see `load_embeddings`); every
+    byte read is fed to `sha`, a hashlib object."""
     ids = []
     linenos = []
     seen = set()
@@ -369,7 +387,8 @@ def _parse_table(path, expected_dim, sha=None):
     header_dim = None
     error = None
     try:
-        for lineno, obj in _parse_jsonl(path, sha):
+        raw = io.BufferedReader(_HashingReader(open(path, "rb", buffering=0), sha))
+        for lineno, obj in _parse_jsonl(path, raw):
             if lineno == 1 and "dim" in obj and "id" not in obj:
                 # bool, a subclass of int, is refused.
                 if type(obj["dim"]) is not int or obj["dim"] < 1:
@@ -459,7 +478,7 @@ def save_embeddings(table, path):
 def load_labels(path):
     """Load {"id", "gender"} JSONL into an ordered id -> GenderLabel map."""
     labels = {}
-    for lineno, obj in _parse_jsonl(path):
+    for lineno, obj in _parse_jsonl(path, open(path, "rb")):
         if "id" not in obj or "gender" not in obj:
             raise DataError(f"{path}, line {lineno}: record needs 'id' and 'gender' keys")
         id_ = obj["id"]
@@ -488,7 +507,7 @@ def save_labels(labels, path):
 def load_truth(path):
     """Load {"text_id", "image_id"} JSONL into an ordered text id -> image id map."""
     truth = {}
-    for lineno, obj in _parse_jsonl(path):
+    for lineno, obj in _parse_jsonl(path, open(path, "rb")):
         if "text_id" not in obj or "image_id" not in obj:
             raise DataError(f"{path}, line {lineno}: record needs 'text_id' and 'image_id' keys")
         tid, iid = obj["text_id"], obj["image_id"]

@@ -504,6 +504,53 @@ def test_table_cache_evicts_the_least_recently_used(tmp_path, table_cache, monke
     assert _cache_files(table_cache) == sorted([names[0], names[3], "notes.txt"])
 
 
+def test_table_cache_stores_no_table_larger_than_the_cap(tmp_path, table_cache, monkeypatch):
+    small, large = tmp_path / "small.jsonl", tmp_path / "large.jsonl"
+    save_embeddings(EmbeddingTable(["a"], [[1.0, 2.0]]), small)
+    save_embeddings(EmbeddingTable(["a", "b"], np.ones((2, 64))), large)
+    load_embeddings(small)
+    monkeypatch.setattr(core, "_CACHE_CAP_BYTES", 1000)  # the large table is 1024 bytes
+    parses = _count_parses(monkeypatch)
+    for _ in range(2):
+        load_embeddings(large)
+    assert len(parses) == 2
+    assert _cache_files(table_cache) == [_entry_name(small)]
+
+
+def test_table_cache_trusts_only_what_other_users_cannot_write(tmp_path, table_cache, monkeypatch):
+    table = _cacheable_table()
+    path = tmp_path / "t.jsonl"
+    save_embeddings(table, path)
+    load_embeddings(path)
+    entry = table_cache / _entry_name(path)
+    good = entry.read_bytes()
+    # Another user able to write the entry could have planted other vectors.
+    _write_entry(entry, np.ones((5, 6)), list(table.ids))
+    planted = entry.read_bytes()
+    parses = _count_parses(monkeypatch)
+    entry.chmod(0o666)
+    assert load_embeddings(path) == table
+    assert len(parses) == 1
+    # The parse stored a private entry again.
+    assert entry.read_bytes() == good and entry.stat().st_mode & 0o777 == 0o600
+
+    # In a directory others may write to, no entry is used and none is stored.
+    entry.write_bytes(planted)
+    table_cache.chmod(0o777)
+    try:
+        assert load_embeddings(path) == table
+        other = tmp_path / "other.jsonl"
+        save_embeddings(EmbeddingTable(["x"], [[3.0]]), other)
+        load_embeddings(other)
+        assert len(parses) == 3
+        assert _cache_files(table_cache) == [entry.name] and entry.read_bytes() == planted
+    finally:
+        table_cache.chmod(0o700)
+    # Back in a private directory the same entry is used: only the modes made it a miss.
+    assert load_embeddings(path) == EmbeddingTable(table.ids, np.ones((5, 6)))
+    assert len(parses) == 3
+
+
 # Each JSON document: its name in errors, its required keys, a saved instance
 # and its loader, and how to save what the loader returns.
 _JSON_DOCUMENTS = {
