@@ -4,13 +4,18 @@ Every subcommand is a pure function of its inputs, flags, and seed: outputs
 are written with deterministic serialization (sorted keys, repr floats, no
 timestamps), so rerunning the same invocation reproduces every file byte for
 byte. Each run also writes a manifest.json recording the command, arguments,
-seed, SHA-256 digests of the input files, and the tool version.
+seed, input digests, and the tool version. `main` writes it once the command
+returns, from what the loaders recorded while they read: the SHA-256 of the
+bytes each input file gave its parser (`core.recording_inputs`), so no input
+is read again for it, and a pipe or FIFO is named by the bytes it delivered.
+A path read twice with different bytes in one run is an error.
 
 Outside the out-dir, embedding tables read from regular files are cached in
-$SEARCHBIAS_CACHE_DIR (default ${XDG_CACHE_HOME:-~/.cache}/searchbias; set it
-empty to turn the cache off), so a later command that reads the same bytes
-skips parsing them; see `core.load_embeddings`. A cache directory that other
-users may write to is not used. No output depends on it.
+$SEARCHBIAS_CACHE_DIR (default $XDG_CACHE_HOME/searchbias, or
+~/.cache/searchbias if XDG_CACHE_HOME is not an absolute path; set it empty
+to turn the cache off), so a later command that reads the same bytes skips
+parsing them; see `core.load_embeddings`. A cache directory that other users
+may write to is not used. No output depends on it.
 
 Exit codes: 0 success, 2 validation/data error, 3 runtime or numerical error.
 """
@@ -29,10 +34,10 @@ from .clipper import ClipPlan, apply_clip, fit_clip_plan
 from .core import (
     DataError,
     Dataset,
-    _sha256,
     load_embeddings,
     load_labels,
     load_truth,
+    recording_inputs,
     save_embeddings,
     save_labels,
     save_truth,
@@ -69,8 +74,9 @@ def _out_path(args, name):
     return os.path.join(args.out_dir, name)
 
 
-def _write_manifest(args, input_paths):
-    """Record what produced this out-dir: command, args, seed, input digests."""
+def _write_manifest(args, inputs):
+    """Record what produced this out-dir: command, args, seed, and `inputs`,
+    each input path's SHA-256 as its loader recorded it."""
     arg_map = {
         key: value
         for key, value in sorted(vars(args).items())
@@ -80,7 +86,7 @@ def _write_manifest(args, input_paths):
         "command": args.command,
         "args": arg_map,
         "seed": args.seed,
-        "inputs": {path: _sha256(path) for path in input_paths if path is not None},
+        "inputs": inputs,
         "version": __version__,
     }
     _write_json(_out_path(args, "manifest.json"), manifest)
@@ -164,7 +170,6 @@ def cmd_synth(args):
     save_embeddings(ds.texts, _out_path(args, "texts.jsonl"))
     save_labels(ds.labels, _out_path(args, "labels.jsonl"))
     save_truth(ds.truth, _out_path(args, "truth.jsonl"))
-    _write_manifest(args, [])
     print(
         f"synth: {len(ds.images)} images, {len(ds.texts)} texts, "
         f"dim {ds.images.dim} -> {args.out_dir}"
@@ -181,7 +186,6 @@ def cmd_label(args):
         grouped.setdefault(cap.image_id, []).append(cap.text)
     labels = {iid: image_gender(texts, lexicon) for iid, texts in grouped.items()}
     save_labels(labels, _out_path(args, "labels.jsonl"))
-    _write_manifest(args, [args.captions, args.lexicon])
     print(f"label: {len(labels)} images labeled from {len(captions)} captions")
 
 
@@ -196,7 +200,6 @@ def cmd_neutralize(args):
             cap.text = text
             changed += 1
     save_captions(captions, _out_path(args, "neutralized.jsonl"))
-    _write_manifest(args, [args.captions, args.lexicon])
     print(f"neutralize: {len(captions)} captions written, {changed} changed")
 
 
@@ -204,15 +207,14 @@ def cmd_retrieve(args):
     images, texts = _load_pair(args.images, args.texts)
     results = retrieve_all(texts, images, k=args.k, threads=args.threads)
     _save_results(results, _out_path(args, "results.jsonl"))
-    _write_manifest(args, [args.images, args.texts])
     print(f"retrieve: {len(results)} queries, top-{args.k} -> results.jsonl")
 
 
 def cmd_evaluate(args):
-    images, texts, labels, truth = _load_inputs(args)
     k_list = sorted(set(args.k_list))
     if not k_list or k_list[0] < 1:
         raise DataError("--k-list needs at least one k >= 1")
+    images, texts, labels, truth = _load_inputs(args)
     plan = None
     if args.clip_plan:
         plan = ClipPlan.load(args.clip_plan)
@@ -242,7 +244,6 @@ def cmd_evaluate(args):
     _write_csv(_out_path(args, "curve.csv"), ["k", "bias_at_k", "recall_at_k"], curve_rows)
     if args.per_query:
         _write_per_query(_out_path(args, "per_query.csv"), curve.text_ids, curve.deltas)
-    _write_manifest(args, [args.images, args.texts, args.labels, args.truth, args.clip_plan])
     headline = ", ".join(
         f"bias@{m['k']}={m['bias_at_k']:.4f} recall@{m['k']}={m['recall_at_k']:.4f}"
         for m in metrics
@@ -255,7 +256,6 @@ def cmd_clip_fit(args):
     labels = load_labels(args.labels)
     plan = fit_clip_plan(images, labels, args.m, bins=args.bins)
     plan.save(_out_path(args, "clip_plan.json"))
-    _write_manifest(args, [args.images, args.labels])
     print(f"clip-fit: m={plan.m} of dim={plan.dim}, clipped dims {plan.clipped}")
 
 
@@ -264,7 +264,6 @@ def cmd_clip_apply(args):
     plan = ClipPlan.load(args.plan)
     clipped = apply_clip(table, plan)
     save_embeddings(clipped, _out_path(args, "clipped.jsonl"))
-    _write_manifest(args, [args.embeddings, args.plan])
     print(f"clip-apply: {len(clipped)} vectors reduced to dim {clipped.dim}")
 
 
@@ -296,9 +295,6 @@ def cmd_train(args):
     encoders = train(ds, cfg, text_labels=text_labels, val_frac=args.val_frac, on_epoch=log_epoch)
     encoders.save(_out_path(args, "encoders.json"), cfg)
     _write_csv(_out_path(args, "training_log.csv"), header, log)
-    _write_manifest(
-        args, [args.images, args.texts, args.labels, args.truth, args.text_labels]
-    )
     if log:
         _, loss, recall, bias = log[-1]
         print(
@@ -316,12 +312,12 @@ def cmd_sweep_alpha(args):
     seeds = [args.seed] if args.seeds is None else args.seeds
     if not seeds:
         raise DataError("--seeds needs at least one seed")
-    ds = Dataset(*_load_inputs(args))
-    text_labels = load_labels(args.text_labels) if args.text_labels else None
     if args.epochs < 1:
         raise DataError("sweep-alpha needs --epochs >= 1")
     if not 0.0 <= args.val_frac < 1.0:
         raise DataError("val_frac must be in [0, 1)")
+    ds = Dataset(*_load_inputs(args))
+    text_labels = load_labels(args.text_labels) if args.text_labels else None
     # Each run is scored on the validation split, as train() rounds it.
     n_val = int(round(len(ds.texts) * args.val_frac))
     if n_val < 1:
@@ -352,17 +348,14 @@ def cmd_sweep_alpha(args):
     _write_csv(
         _out_path(args, "alpha_sweep.csv"), ["alpha", "recall_at_10", "bias_at_10"], rows
     )
-    _write_manifest(
-        args, [args.images, args.texts, args.labels, args.truth, args.text_labels]
-    )
     print(f"sweep-alpha: {len(alphas)} alphas x {len(seeds)} seeds -> alpha_sweep.csv")
 
 
 def cmd_sweep_m(args):
-    images, texts, labels, truth = _load_inputs(args)
     m_list = sorted(set(args.m_list))
     if not m_list or m_list[0] < 0:
         raise DataError("--m-list needs m values >= 0")
+    images, texts, labels, truth = _load_inputs(args)
     if m_list[-1] >= images.dim:
         raise DataError(f"max m {m_list[-1]} must be < dim {images.dim}")
     # One fit at the largest m; smaller m reuse its prefix (greedy consistency).
@@ -389,7 +382,6 @@ def cmd_sweep_m(args):
         ["m", "recall_at_1", "recall_at_5", "recall_at_10", "bias_at_10", "bias_at_10_sd"],
         rows,
     )
-    _write_manifest(args, [args.images, args.texts, args.labels, args.truth])
     print(f"sweep-m: {len(m_list)} m values -> m_sweep.csv")
 
 
@@ -406,7 +398,6 @@ def cmd_occupation(args):
             "skipped": report.skipped,
         },
     )
-    _write_manifest(args, [args.terms, args.images, args.labels])
     print(
         f"occupation-bias: {len(report.per_occupation)} terms scored "
         f"({len(report.skipped)} skipped), mean |bias| {report.mean_abs_bias:.4f}"
@@ -546,7 +537,9 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        with recording_inputs() as inputs:
+            args.func(args)
+        _write_manifest(args, inputs)
     except (DataError, OSError) as exc:
         # Bad or unreadable inputs are the caller's problem, not the tool's.
         print(f"error: {exc}", file=sys.stderr)

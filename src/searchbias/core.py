@@ -8,10 +8,15 @@ both kinds decode through orjson with the same strict rules.
 Parsed embedding tables are also kept in a per-user binary cache keyed by the
 SHA-256 of the file's bytes, so a table read again by a later command skips
 the JSON decoding (see `load_embeddings`).
+
+Inside `recording_inputs`, every loader records the SHA-256 of the bytes it
+parsed, so a command can name the exact inputs it used without reading any
+of them again.
 """
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 import io
 import json
@@ -20,7 +25,7 @@ import re
 import stat
 import tempfile
 from array import array
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii
@@ -148,13 +153,50 @@ class EmbeddingTable:
         )
 
 
+# The inputs read inside `recording_inputs`: a dict of path -> SHA-256 hex
+# digest, or None outside it, so library calls record nothing.
+_recorded = contextvars.ContextVar("searchbias_recorded_inputs", default=None)
+
+
+@contextmanager
+def recording_inputs():
+    """Record the inputs the loaders read inside this block, and yield the
+    record: each path, as `os.fspath` gives it, mapped to the SHA-256 of the
+    bytes parsed from it.
+
+    A path read twice with different bytes raises DataError, because no one
+    digest then describes what the block used.
+    """
+    record = {}
+    token = _recorded.set(record)
+    try:
+        yield record
+    finally:
+        _recorded.reset(token)
+
+
+def _record(path, digest):
+    """Record that `path` was read as bytes of SHA-256 `digest` (see `recording_inputs`)."""
+    record = _recorded.get()
+    if record is None:
+        return
+    path = os.fspath(path)
+    if record.setdefault(path, digest) != digest:
+        raise DataError(f"{path}: changed between two reads")
+
+
 def _read_utf8(path):
-    """The whole text of `path`, which must be UTF-8."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError:
-            raise DataError(f"{path}: not UTF-8 text") from None
+    """The whole text of `path`, which must be UTF-8, read once and recorded."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        # No newline translation is needed: JSON reads \r as whitespace and
+        # refuses it inside a string, as it does \n.
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
+    _record(path, hashlib.sha256(data).hexdigest())
+    return text
 
 
 def _json_object(text, what, keys):
@@ -174,7 +216,8 @@ def _json_object(text, what, keys):
 
 
 def _sha256(path):
-    """The SHA-256 hex digest of the bytes of `path`, read in chunks."""
+    """The SHA-256 hex digest of the bytes of `path`, read in chunks: the
+    table cache's lookup key."""
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
@@ -203,14 +246,17 @@ class _HashingReader(io.RawIOBase):
         super().close()
 
 
-def _parse_jsonl(path, raw):
+def _parse_jsonl(path, sha=None):
     """Yield (line_number, parsed_object) for every non-empty line of the
-    binary file `raw`, opened from `path`, and close it.
+    file `path`, and record the SHA-256 of its bytes once all are read.
 
+    Every byte read is also fed to `sha`, a hashlib object, if one is given.
     Lines are strict JSON (RFC 8259), decoded by orjson. Bytes that are not
     UTF-8 become lone surrogates, which orjson refuses, so they are reported
     as invalid JSON at their own line, in file order with every other error.
     """
+    sha = hashlib.sha256() if sha is None else sha
+    raw = io.BufferedReader(_HashingReader(open(path, "rb", buffering=0), sha))
     with io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -223,6 +269,7 @@ def _parse_jsonl(path, raw):
             if not isinstance(obj, dict):
                 raise DataError(f"{path}, line {lineno}: expected a JSON object")
             yield lineno, obj
+    _record(path, sha.hexdigest())
 
 
 _NUMBER_TYPES = frozenset((int, float))
@@ -252,7 +299,9 @@ def _cache_dir():
     """The table cache directory, or None if SEARCHBIAS_CACHE_DIR is set empty."""
     path = os.environ.get("SEARCHBIAS_CACHE_DIR")
     if path is None:
-        base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+        base = os.environ.get("XDG_CACHE_HOME", "")
+        if not os.path.isabs(base):  # the XDG spec says to ignore a relative path
+            base = os.path.join(os.path.expanduser("~"), ".cache")
         path = os.path.join(base, "searchbias")
     return path or None
 
@@ -264,7 +313,8 @@ def _private(st):
 
 
 def _cached_table(cache, path, expected_dim):
-    """The table of the file `path` from the cache, or None if it holds no
+    """(table, digest): the table of the file `path` from the cache and the
+    SHA-256 of the file it was found under, or None if the cache holds no
     usable entry.
 
     An entry is the float64 matrix in .npy form followed by the ids as one
@@ -280,7 +330,8 @@ def _cached_table(cache, path, expected_dim):
     try:
         if not _private(os.fstat(dir_fd)):
             return None
-        name = _sha256(path) + ".table"
+        digest = _sha256(path)
+        name = digest + ".table"
         with open(name, "rb", opener=lambda file, flags: os.open(file, flags, dir_fd=dir_fd)) as fh:
             if not _private(os.fstat(fh.fileno())):
                 return None
@@ -298,7 +349,7 @@ def _cached_table(cache, path, expected_dim):
         # A hit makes the entry the most recently used.
         with suppress(OSError):
             os.utime(name, dir_fd=dir_fd)
-        return table
+        return table, digest
     except (OSError, ValueError):  # ValueError: a bad .npy header, orjson, DataError
         return None
     finally:
@@ -353,8 +404,9 @@ def load_embeddings(path, expected_dim=None):
     Errors name the offending line and id; the first bad line is reported.
 
     A regular file's table is cached under the SHA-256 of its bytes in
-    $SEARCHBIAS_CACHE_DIR (default ${XDG_CACHE_HOME:-~/.cache}/searchbias;
-    empty turns the cache off), and a later load of the same bytes reads the
+    $SEARCHBIAS_CACHE_DIR (default $XDG_CACHE_HOME/searchbias, or
+    ~/.cache/searchbias if XDG_CACHE_HOME is not an absolute path; empty
+    turns the cache off), and a later load of the same bytes reads the
     entry instead of parsing. The table, and every error, are the same. A
     directory or entry that other users may write to is not used.
     """
@@ -364,20 +416,23 @@ def load_embeddings(path, expected_dim=None):
         with suppress(OSError):
             # A pipe or other special file is read once, by the parse.
             regular = stat.S_ISREG(os.stat(path).st_mode)
-    table = _cached_table(cache, path, expected_dim) if regular else None
-    if table is None:
-        sha = hashlib.sha256()
-        table = _parse_table(path, expected_dim, sha)
-        # Stored under the digest of the bytes parsed, which are not the
-        # bytes hashed for the lookup if the file changed in between.
-        if regular and len(table):
-            _store_table(cache, sha.hexdigest(), table)
+    hit = _cached_table(cache, path, expected_dim) if regular else None
+    if hit is not None:
+        table, digest = hit
+        _record(path, digest)
+        return table
+    sha = hashlib.sha256()
+    table = _parse_table(path, expected_dim, sha)
+    # Stored under the digest of the bytes parsed, which are not the bytes
+    # hashed for the lookup if the file changed in between.
+    if regular and len(table):
+        _store_table(cache, sha.hexdigest(), table)
     return table
 
 
 def _parse_table(path, expected_dim, sha):
     """The table in the JSONL file `path` (see `load_embeddings`); every
-    byte read is fed to `sha`, a hashlib object."""
+    byte read is fed to `sha`, a hashlib object, and its digest recorded."""
     ids = []
     linenos = []
     seen = set()
@@ -387,8 +442,7 @@ def _parse_table(path, expected_dim, sha):
     header_dim = None
     error = None
     try:
-        raw = io.BufferedReader(_HashingReader(open(path, "rb", buffering=0), sha))
-        for lineno, obj in _parse_jsonl(path, raw):
+        for lineno, obj in _parse_jsonl(path, sha):
             if lineno == 1 and "dim" in obj and "id" not in obj:
                 # bool, a subclass of int, is refused.
                 if type(obj["dim"]) is not int or obj["dim"] < 1:
@@ -478,7 +532,7 @@ def save_embeddings(table, path):
 def load_labels(path):
     """Load {"id", "gender"} JSONL into an ordered id -> GenderLabel map."""
     labels = {}
-    for lineno, obj in _parse_jsonl(path, open(path, "rb")):
+    for lineno, obj in _parse_jsonl(path):
         if "id" not in obj or "gender" not in obj:
             raise DataError(f"{path}, line {lineno}: record needs 'id' and 'gender' keys")
         id_ = obj["id"]
@@ -507,7 +561,7 @@ def save_labels(labels, path):
 def load_truth(path):
     """Load {"text_id", "image_id"} JSONL into an ordered text id -> image id map."""
     truth = {}
-    for lineno, obj in _parse_jsonl(path, open(path, "rb")):
+    for lineno, obj in _parse_jsonl(path):
         if "text_id" not in obj or "image_id" not in obj:
             raise DataError(f"{path}, line {lineno}: record needs 'text_id' and 'image_id' keys")
         tid, iid = obj["text_id"], obj["image_id"]

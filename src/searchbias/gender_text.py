@@ -327,7 +327,7 @@ def load_captions(path):
     """Load {"id", "image_id", "text"} JSONL records in file order."""
     captions = []
     seen = set()
-    for lineno, obj in _parse_jsonl(path, open(path, "rb")):
+    for lineno, obj in _parse_jsonl(path):
         try:
             # Arguments are read left to right, so the first missing key raises.
             cap = Caption(id=obj["id"], image_id=obj["image_id"], text=obj["text"])

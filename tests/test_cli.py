@@ -3,13 +3,16 @@
 import csv
 import hashlib
 import json
+import os
 import random
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import searchbias.cli as cli
+import searchbias.core as core
 import searchbias.trainer as trainer
 from searchbias.cli import main
 from searchbias.clipper import ClipPlan
@@ -734,6 +737,77 @@ def test_manifest_inputs_are_the_digests_of_every_file_flag(data_dir, tmp_path):
         manifest = json.loads((out / "manifest.json").read_text())
         want = {path: hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in paths}
         assert manifest["inputs"] == want, command
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_retrieve_reads_a_named_pipe_once_and_records_its_bytes(data_dir, tmp_path):
+    fifo = tmp_path / "images.fifo"
+    os.mkfifo(fifo)
+    data = (data_dir / "images.jsonl").read_bytes()
+
+    def write():
+        with open(fifo, "wb") as fh:
+            fh.write(data)
+
+    out = tmp_path / "out"
+    argv = ["retrieve", "--images", str(fifo), "--texts", str(data_dir / "texts.jsonl"),
+            "--out-dir", str(out)]
+    codes = []
+    # Daemon threads: a command that opened the pipe again would block forever.
+    threads = [
+        threading.Thread(target=write, daemon=True),
+        threading.Thread(target=lambda: codes.append(main(argv)), daemon=True),
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    assert codes == [0]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["inputs"][str(fifo)] == hashlib.sha256(data).hexdigest()
+
+
+def test_warm_evaluate_hashes_each_table_once(data_dir, tmp_path, monkeypatch):
+    """The manifest reads no input again: with both tables cached, the only
+    hashing by path is one cache lookup per table."""
+    argv = ["evaluate", *dataset_args(data_dir), "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 0
+    cold = (tmp_path / "out" / "manifest.json").read_bytes()
+    hashed = []
+    digest = core._sha256
+
+    def sha256(path):
+        hashed.append(str(path))
+        return digest(path)
+
+    monkeypatch.setattr(core, "_sha256", sha256)
+    assert main(argv) == 0
+    assert hashed == [str(data_dir / "images.jsonl"), str(data_dir / "texts.jsonl")]
+    assert (tmp_path / "out" / "manifest.json").read_bytes() == cold
+    assert not hasattr(cli, "_sha256")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["evaluate", "--k-list", "0"], "--k-list needs at least one k >= 1"),
+        (["evaluate", "--k-list", ","], "--k-list needs at least one k >= 1"),
+        (["sweep-alpha", "--epochs", "0"], "sweep-alpha needs --epochs >= 1"),
+        (["sweep-alpha", "--val-frac", "1"], "val_frac must be in [0, 1)"),
+        (["sweep-m", "--m-list=-1,2"], "--m-list needs m values >= 0"),
+        (["sweep-m", "--m-list", ","], "--m-list needs m values >= 0"),
+    ],
+)
+def test_flags_are_checked_before_any_input_is_read(data_dir, tmp_path, capsys, monkeypatch, argv, message):
+    def no_load(*args, **kwargs):
+        raise AssertionError("inputs loaded")
+
+    monkeypatch.setattr(cli, "load_embeddings", no_load)
+    out = tmp_path / "out"
+    assert main([*argv, *dataset_args(data_dir), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_exit_codes(tmp_path, capsys, monkeypatch):

@@ -452,10 +452,15 @@ def test_table_cache_default_location(tmp_path, monkeypatch):
     # Entries are copies of the user's embeddings: only the user may read them.
     assert cache.stat().st_mode & 0o777 == 0o700
     assert (cache / _entry_name(path)).stat().st_mode & 0o777 == 0o600
-    monkeypatch.setenv("XDG_CACHE_HOME", "")
     monkeypatch.setenv("HOME", str(tmp_path / "home"))
-    load_embeddings(path)
-    assert _cache_files(tmp_path / "home" / ".cache" / "searchbias") == [_entry_name(path)]
+    home_cache = tmp_path / "home" / ".cache" / "searchbias"
+    # Empty or relative, XDG_CACHE_HOME is ignored, as the XDG spec says.
+    monkeypatch.chdir(tmp_path)
+    for xdg in ("", "rel"):
+        monkeypatch.setenv("XDG_CACHE_HOME", xdg)
+        load_embeddings(path)
+        assert _cache_files(home_cache) == [_entry_name(path)]
+    assert not (tmp_path / "rel").exists()
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -604,6 +609,56 @@ def test_json_documents_round_trip_and_are_strict(tmp_path, what):
         path.write_text(json.dumps(obj))
         with pytest.raises(DataError, match=f"^{what} JSON missing {key!r}$"):
             load(path)
+
+
+def test_loaders_record_the_digest_of_the_bytes_they_parse(tmp_path, table_cache, monkeypatch):
+    table = _cacheable_table()
+    save_embeddings(table, tmp_path / "t.jsonl")
+    save_labels({"a": GenderLabel.MALE}, tmp_path / "labels.jsonl")
+    save_truth({"t": "a"}, tmp_path / "truth.jsonl")
+    (tmp_path / "captions.jsonl").write_text('{"id": "c", "image_id": "a", "text": "A man"}\n')
+    ClipPlan(dim=2, mi=[0.5, 0.0], clipped=[0]).save(tmp_path / "plan.json")
+    GenderLexicon.default().save(tmp_path / "lexicon.json")
+    LinearEncoders.init(3, 2, np.random.default_rng(1)).save(tmp_path / "enc.json")
+    loaders = {
+        "t.jsonl": load_embeddings,
+        "labels.jsonl": load_labels,
+        "truth.jsonl": load_truth,
+        "captions.jsonl": load_captions,
+        "plan.json": ClipPlan.load,
+        "lexicon.json": GenderLexicon.load,
+        "enc.json": LinearEncoders.load,
+    }
+    want = {str(tmp_path / name): hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in loaders}
+    # A table parsed, read from the cache, and parsed with the cache off.
+    for cache in (str(table_cache), str(table_cache), ""):
+        monkeypatch.setenv("SEARCHBIAS_CACHE_DIR", cache)
+        with core.recording_inputs() as record:
+            for name, load in loaders.items():
+                load(tmp_path / name)
+        assert record == want
+    assert _cache_files(table_cache) == [_entry_name(tmp_path / "t.jsonl")]
+    # Outside a recording scope nothing is recorded; an input that fails to
+    # load is not recorded inside one.
+    assert core._recorded.get() is None
+    (tmp_path / "bad.jsonl").write_text('{"id": "a"}\n')
+    with core.recording_inputs() as record:
+        with pytest.raises(DataError):
+            load_labels(tmp_path / "bad.jsonl")
+    assert record == {}
+
+
+def test_a_path_read_twice_with_other_bytes_is_an_error(tmp_path):
+    path = tmp_path / "labels.jsonl"
+    save_labels({"a": GenderLabel.MALE}, path)
+    with core.recording_inputs() as record:
+        load_labels(path)
+        load_labels(path)  # the same bytes again
+        save_labels({"a": GenderLabel.FEMALE}, path)
+        with pytest.raises(DataError) as err:
+            load_labels(path)
+    assert str(err.value) == f"{path}: changed between two reads"
+    assert list(record) == [str(path)]
 
 
 def test_label_and_truth_writers_write_the_json_dumps_bytes(tmp_path):
