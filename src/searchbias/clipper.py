@@ -160,7 +160,9 @@ def apply_clip(table, plan):
     keep = plan.kept_dims()
     if len(table) == 0:
         return EmbeddingTable([], np.empty((0, len(keep))))
-    clipped = table.vectors[:, keep]
+    # `take` keeps the rows C-ordered; `vectors[:, keep]` would give an F-ordered
+    # copy, so every later row gather would be strided.
+    clipped = np.take(table.vectors, keep, axis=1)
     zero = np.where(~clipped.any(axis=1))[0]
     if zero.size:
         raise DataError(f"vector {table.ids[int(zero[0])]!r} is all-zero after clipping")

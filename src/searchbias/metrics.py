@@ -140,15 +140,15 @@ def _class_means(images, labels):
     if missing:
         raise UndefinedBiasError(f"no {' and no '.join(missing)} images; similarity gap undefined")
     # A weighted sum of the rows: no unit copy of the table is made.
-    weights /= row_norms(images.vectors)
+    weights /= row_norms(images.vectors, images.ids)
     return (weights @ images.vectors) / counts[:, None]
 
 
-def _gap(term_vector, means):
+def _gap(term_vector, means, term_id="term"):
     term = np.asarray(term_vector, dtype=np.float64)
     if term.shape != (means.shape[1],):
         raise DataError(f"term vector shape {term.shape} does not match image dim {means.shape[1]}")
-    norm = row_norms(term[None, :])[0]
+    norm = row_norms(term[None, :], [term_id])[0]
     if norm == 0.0:
         raise DataError("occupation bias undefined for a zero term vector")
     unit = term / norm
@@ -184,6 +184,6 @@ def occupation_bias_report(terms, images, labels):
     if len(terms) == 0:
         raise DataError("the occupation term table is empty")
     means = _class_means(images, labels)
-    per_occupation = {term_id: _gap(vec, means) for term_id, vec in terms.records()}
+    per_occupation = {term_id: _gap(vec, means, term_id) for term_id, vec in terms.records()}
     mean_abs = math.fsum(abs(b) for b in per_occupation.values()) / len(per_occupation)
     return OccupationBiasReport(per_occupation=per_occupation, mean_abs_bias=mean_abs, skipped=[])

@@ -1,13 +1,14 @@
 """Exhaustive cosine-similarity retrieval over embedding tables.
 
-One engine ranks every query. Image norms are computed once per table. Each
-block of queries is scored with one matrix product against the raw image
-table, and `argpartition`-style selection keeps the top k plus every image
-whose product score lies within a proven rounding margin of the k-th score.
-Only those candidates are re-scored, each pair by the same fixed-order kernel
-(`_row_dots`), and ranked by (-score, image row). The product only narrows
-the candidates; the emitted (id, score) pairs come from the kernel alone, so
-they do not depend on the block size, the thread count or the BLAS build.
+One engine ranks every query. Image norms are computed once per table, and
+so is a float32 copy of the unit image rows. Each block of queries is scored
+with one float32 matrix product of its unit rows against that copy, and
+`partition` keeps the top k plus every image whose float32 score lies within
+a proven rounding margin of the k-th. Only those candidates are re-scored in
+float64, each pair by the same fixed-order kernel (`_row_sums`), and ranked
+by (-score, image row). The float32 product only narrows the candidates; the
+emitted (id, score) pairs come from the kernel alone, so they do not depend
+on the block size, the thread count or the BLAS build.
 """
 
 from __future__ import annotations
@@ -19,10 +20,19 @@ import numpy as np
 
 from .core import DataError
 
-# Float64 entries per block of work (256 KiB): it sets the query rows scored
-# per matrix product and the candidate pairs re-scored at a time, so memory
-# stays bounded by the block, never by queries x images or images x dim.
-_BLOCK_ENTRIES = 32768
+# A block of queries holds at most the larger of _BLOCK_BYTES and a quarter
+# of the float32 unit image table in float32 scores, so its memory stays a
+# fraction of what retrieval already holds, but never fewer than _MIN_ROWS
+# queries: each block's product re-packs the whole unit table, and few-row
+# blocks pay that packing once per handful of queries.
+_BLOCK_BYTES = 512 * 1024
+_MIN_ROWS = 32
+# Float64 entries per tile of the re-scoring kernel (256 KiB): it sets the
+# pairs summed at a time, so memory stays bounded by the tile, never by
+# candidates x dim or images x dim.
+_TILE_ENTRIES = 32768
+
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass
@@ -36,66 +46,125 @@ class RetrievalResult:
         return [iid for iid, _ in self.ranked]
 
 
-def _row_dots(a, b):
-    """Dot product of each row of `a` with the same row of `b`, in fixed order.
+def _tile_pairs(dim):
+    """Row pairs per tile of the kernel for vectors of `dim` components."""
+    return max(1, _TILE_ENTRIES // dim)
 
-    Each sum runs strictly left to right over the columns, so a pair's value
-    depends only on its two rows: not on which other rows share the call, on
-    the chunking, or on any BLAS library.
+
+def _row_sums(prod, work):
+    """Sum of each row of `prod`, strictly left to right: the fixed-order kernel.
+
+    The rows are copied into `work` as a C-ordered (dim, rows) array and summed
+    over its first axis, so numpy adds whole rows of it: each row's sum runs
+    left to right while the adds run vectorised across rows. A row's sum so
+    depends only on that row: not on which other rows share the call, on the
+    tiling, or on any BLAS library. Starting from -0.0 leaves the first term
+    as it is, as a running sum does. numpy sums a single column pairwise, so
+    one row takes `cumsum`. `work` holds at least prod.size floats; a loop
+    over tiles passes the same buffer to every call.
     """
-    prod = a * b
-    np.cumsum(prod, axis=1, out=prod)
-    return prod[:, -1]
+    m, dim = prod.shape
+    if m == 1:
+        return np.cumsum(prod[0])[-1:]
+    cols = work[: m * dim].reshape(dim, m)
+    np.copyto(cols, prod.T)
+    return np.add.reduce(cols, axis=0, initial=-0.0)
 
 
-def row_norms(vectors):
-    """Euclidean norm of every row, by the fixed-order kernel, in bounded chunks."""
+def _row_dots(a, b):
+    """Dot product of each row of `a` with the same row of `b`, by the kernel."""
+    out = np.empty(len(a))
+    step = _tile_pairs(a.shape[1])
+    prod, work = np.empty((2, min(step, len(a)) * a.shape[1]))
+    for lo in range(0, len(a), step):
+        x, y = a[lo : lo + step], b[lo : lo + step]
+        out[lo : lo + step] = _row_sums(np.multiply(x, y, out=prod[: x.size].reshape(x.shape)), work)
+    return out
+
+
+def row_norms(vectors, ids=None):
+    """Euclidean norm of every row, by the fixed-order kernel, in bounded tiles.
+
+    A row whose squared norm overflows, or falls below the smallest normal
+    float, is scaled by a power of two first and its norm scaled back, so
+    other rows keep their bytes. A zero row has norm 0. A nonzero row whose
+    norm itself is not a normal float raises DataError naming the row (by
+    `ids`, else by index), since dividing by it would not give a unit row.
+    """
     vectors = np.asarray(vectors, dtype=np.float64)
-    out = np.empty(vectors.shape[0])
-    step = max(1, _BLOCK_ENTRIES // vectors.shape[1])
-    for lo in range(0, vectors.shape[0], step):
-        chunk = vectors[lo : lo + step]
-        out[lo : lo + step] = np.sqrt(_row_dots(chunk, chunk))
+    with np.errstate(over="ignore", under="ignore"):  # such rows are rescaled below
+        out = _row_dots(vectors, vectors)
+    bad = np.flatnonzero((out < _TINY) | (out == np.inf))
+    np.sqrt(out, out=out)
+    if bad.size:
+        rows = vectors[bad]
+        exp = np.frexp(np.abs(rows).max(axis=1))[1]
+        scaled = np.ldexp(rows, -exp[:, None])
+        with np.errstate(over="ignore", under="ignore"):  # such norms are refused below
+            out[bad] = norms = np.ldexp(np.sqrt(_row_dots(scaled, scaled)), exp)
+        wrong = bad[(norms != 0.0) & ~((norms >= _TINY) & (norms < np.inf))]
+        if wrong.size:
+            row = int(wrong[0])
+            name = repr(ids[row]) if ids is not None else f"at row {row}"
+            raise DataError(f"vector {name} has a norm outside the float64 range")
     return out
 
 
 def _margin(dim):
-    """Candidate margin, in cosine units, for vectors of `dim` components.
+    """Candidate margin, in cosine units, for float32 scores of `dim` components.
 
-    A product score and the kernel's cosine each lie within about
-    (2 dim + 4) unit roundoffs of the exact cosine (a dot product of `dim`
-    terms summed in any order, two norms, divisions), for vectors whose
-    squared norms neither overflow nor underflow. So the two differ by at most
-    g = (4 dim + 8) roundoffs, and an image whose product score is more than
-    2g below the k-th product score ranks below all k of those images under
-    the kernel as well. The margin is 2g with a factor of 2 to spare.
+    Both vectors enter the float32 product as unit rows from the kernel's
+    float64 division, rounded to float32 (relative error u = 2^-24 per
+    component). A float32 dot product of `dim` terms, summed in any order,
+    lies within (dim + 2) u of the exact dot product of those float64 unit
+    rows, up to terms of order dim^2 u^2 and underflow below 2^-140; the
+    kernel's float64 cosine lies within (dim + 2) 2^-53 of it. So a float32
+    score and the kernel's cosine differ by at most g = (dim + 3) u, and an
+    image whose score is more than 2g below the k-th score ranks below all k
+    of those images under the kernel as well, clamping to [-1, 1] included.
+    The margin, (8 dim + 16) float32 epsilons, is 2g with a factor of more
+    than 5 to spare.
     """
-    return (8 * dim + 16) * np.finfo(np.float64).eps
+    return (8 * dim + 16) * float(np.finfo(np.float32).eps)
 
 
-def _rank_block(queries, qnorms, images, inorms, k):
+def _rank_block(queries, qnorms, images, inorms, units, k):
     """Top-k (image id, score) lists for a block of queries, by (-score, row)."""
     vectors = images.vectors
     n = vectors.shape[0]
-    scores = queries @ vectors.T
-    scores /= inorms
+    # Unit vectors by division, one rounding per component. Scaling a vector
+    # by a power of two leaves its unit vector, so its scores, bit-identical;
+    # collinear pairs need not reach +-1 exactly.
+    qunits = queries / qnorms[:, None]
     if k < n:
-        kth = np.partition(scores, n - k, axis=1)[:, n - k]
-        floor = kth - _margin(images.dim) * qnorms
-        qrow, irow = np.nonzero(scores >= floor[:, None])
+        scores = qunits.astype(np.float32) @ units.T
+        # The k-th score of each row, partitioned a few rows at a time, so
+        # no second copy of the block is made.
+        kth = np.empty(len(scores), dtype=np.float32)
+        per = max(1, _TILE_ENTRIES // n)
+        for lo in range(0, len(scores), per):
+            kth[lo : lo + per] = np.partition(scores[lo : lo + per], n - k, axis=1)[:, n - k]
+        # The floor is computed in float64, then rounded down onto the float32
+        # grid, so a float32 comparison with it is exact.
+        floor = kth.astype(np.float64) - _margin(images.dim)
+        low = floor.astype(np.float32)
+        low = np.where(low > floor, np.nextafter(low, np.float32(-np.inf)), low)
+        qrow, irow = np.divmod(np.flatnonzero(scores >= low[:, None]), n)
+        del scores, kth  # free the block before the candidates' copies are made
     else:
         qrow, irow = np.divmod(np.arange(len(queries) * n), n)
-    del scores  # free the block before the candidates' copies are made
     exact = np.empty(len(qrow))
-    step = max(1, _BLOCK_ENTRIES // images.dim)
+    step = _tile_pairs(images.dim)
+    # Gather buffers and kernel work space, reused by every tile.
+    x, y, work = np.empty((3, min(step, len(qrow)), images.dim))
     for lo in range(0, len(qrow), step):
         q, i = qrow[lo : lo + step], irow[lo : lo + step]
-        # Unit vectors by division, one rounding per component. Scaling a
-        # vector by a power of two leaves its unit vector, so its scores,
-        # bit-identical; collinear pairs need not reach +-1 exactly.
-        exact[lo : lo + step] = _row_dots(
-            queries[q] / qnorms[q, None], vectors[i] / inorms[i, None]
-        )
+        a, b = x[: len(q)], y[: len(q)]
+        # mode="clip" only spares `take` a buffered copy; every index is valid.
+        np.take(qunits, q, axis=0, out=a, mode="clip")
+        np.take(vectors, i, axis=0, out=b, mode="clip")
+        np.divide(b, inorms[i, None], out=b)
+        exact[lo : lo + step] = _row_sums(np.multiply(a, b, out=a), work.ravel())
     np.clip(exact, -1.0, 1.0, out=exact)
     # Candidates come by query, then in ascending image row, so one stable
     # sort by (query, -score) breaks ties by file order. Every query has at
@@ -108,21 +177,31 @@ def _rank_block(queries, qnorms, images, inorms, k):
     return [[(ids[i], s) for i, s in zip(r, sc)] for r, sc in zip(rows, scores)]
 
 
-def _rank(queries, images, k, threads=1):
+def _rank(queries, images, k, threads=1, query_ids=None):
     """Ranked (image id, score) lists for every row of `queries`, in row order."""
     if k < 1:
         raise DataError("k must be >= 1")
     if len(images) == 0:
         raise DataError("cannot retrieve from an empty image table")
-    inorms = row_norms(images.vectors)
-    qnorms = row_norms(queries)
+    vectors = images.vectors
+    inorms = row_norms(vectors, images.ids)
+    qnorms = row_norms(queries, query_ids)
     if not np.all(qnorms > 0.0):
         raise DataError("zero query vector")
-    rows = max(1, _BLOCK_ENTRIES // len(images))
+    units = None
+    if k < len(images):
+        # The float32 unit rows (N x dim x 4 bytes) come from the kernel's own
+        # float64 division, rounded once more; no float64 copy is made.
+        units = np.empty(vectors.shape, dtype=np.float32)
+        np.divide(vectors, inorms[:, None], out=units, casting="same_kind")
+    budget = max(_BLOCK_BYTES, vectors.size)  # a quarter of the unit table's bytes
+    rows = max(_MIN_ROWS, budget // (4 * len(images)))
     starts = range(0, len(queries), rows)
 
     def block(lo):
-        return _rank_block(queries[lo : lo + rows], qnorms[lo : lo + rows], images, inorms, k)
+        return _rank_block(
+            queries[lo : lo + rows], qnorms[lo : lo + rows], images, inorms, units, k
+        )
 
     if threads <= 1 or len(starts) < 2:
         blocks = [block(lo) for lo in starts]
@@ -143,7 +222,7 @@ def retrieve_topk(query, images, k, text_id="query"):
         raise DataError(f"query dim {query.shape} does not match image dim {images.dim}")
     if not np.all(np.isfinite(query)):
         raise DataError("non-finite query vector")
-    (ranked,) = _rank(query[None, :], images, k)
+    (ranked,) = _rank(query[None, :], images, k, query_ids=[text_id])
     return RetrievalResult(text_id=text_id, ranked=ranked)
 
 
@@ -157,5 +236,5 @@ def retrieve_all(texts, images, k, threads=1):
         raise DataError(f"text dim {texts.dim} does not match image dim {images.dim}")
     if len(texts) == 0:
         return []
-    ranked = _rank(texts.vectors, images, k, threads=threads)
+    ranked = _rank(texts.vectors, images, k, threads=threads, query_ids=texts.ids)
     return [RetrievalResult(text_id=tid, ranked=r) for tid, r in zip(texts.ids, ranked)]

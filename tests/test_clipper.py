@@ -190,6 +190,8 @@ def test_apply_clip_drops_exact_columns():
     assert clipped.ids == table.ids
     assert clipped.dim == 4
     assert clipped.vectors.tobytes() == vecs[:, [0, 2, 3, 5]].tobytes()
+    # C-ordered, so gathering a row of it reads contiguous memory.
+    assert clipped.vectors.flags.c_contiguous
 
 
 def test_apply_clip_empty_plan_is_identity():

@@ -270,9 +270,13 @@ def test_save_embeddings_writes_the_json_dumps_bytes(tmp_path):
     save_embeddings(table, path)
     assert path.read_bytes() == _json_lines({"id": i, "vector": v.tolist()} for i, v in zip(ids, rows))
 
-    # apply_clip's rows are views that are not C-contiguous.
+    # An F-ordered table's rows are views that are not C-contiguous.
+    fortran = EmbeddingTable(ids, np.asfortranarray(rows))
+    assert not fortran.vectors[0].flags.c_contiguous
+    save_embeddings(fortran, path)
+    assert path.read_bytes() == _json_lines({"id": i, "vector": v.tolist()} for i, v in zip(ids, rows))
+
     clipped = apply_clip(table, ClipPlan(dim=dim, mi=[0.0] * dim, clipped=[1]))
-    assert not clipped.vectors[0].flags.c_contiguous
     save_embeddings(clipped, path)
     assert path.read_bytes() == _json_lines({"id": i, "vector": v.tolist()} for i, v in clipped.records())
 

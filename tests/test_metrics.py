@@ -189,6 +189,34 @@ def test_occupation_bias_matches_oracle():
     assert got == pytest.approx(occupation_oracle(term, images, labels), abs=1e-12)
 
 
+def test_occupation_bias_with_norms_outside_float_range():
+    """Rows whose squared norm overflows or underflows keep their true cosines.
+
+    Before, rows scaled by 2^700 got weight 0 (norm inf) and rows scaled by
+    2^-700 got nan (norm 0). A power-of-two scale now leaves every byte as
+    it is; a norm that is itself not a normal float is refused by name.
+    """
+    rng = np.random.default_rng(12)
+    ids = [f"i{j}" for j in range(30)]
+    vecs = rng.standard_normal((30, 5))
+    labels = {iid: [M, F, N][j % 3] for j, iid in enumerate(ids)}
+    term = rng.standard_normal(5)
+    base = occupation_bias(term, EmbeddingTable(ids, vecs), labels)
+    for scale in (2.0**700, 2.0**-700):
+        scaled = vecs.copy()
+        scaled[::2] *= scale
+        images = EmbeddingTable(ids, scaled)
+        assert occupation_bias(term * scale, images, labels) == base
+        terms = EmbeddingTable(["t"], [term * scale])
+        assert occupation_bias_report(terms, images, labels).per_occupation == {"t": base}
+    huge = EmbeddingTable(["m1", "f1"], [[1.5e308, 1.5e308], [0.0, 1.0]])
+    with pytest.raises(DataError, match="'m1' has a norm outside the float64 range"):
+        occupation_bias([1.0, 0.0], huge, {"m1": M, "f1": F})
+    images = EmbeddingTable(["m1", "f1"], [[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(DataError, match="'nurse' has a norm"):
+        occupation_bias_report(EmbeddingTable(["nurse"], [[1e-310, 0.0]]), images, {"m1": M, "f1": F})
+
+
 def test_occupation_bias_undefined_class():
     images = EmbeddingTable(["m1"], [[1.0, 0.0]])
     with pytest.raises(UndefinedBiasError):

@@ -1,6 +1,9 @@
 """Exhaustive cosine top-k retrieval against a brute-force oracle."""
 
+import functools
 import math
+import operator
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +25,41 @@ def oracle_topk(query, images, k):
         scored.append((min(1.0, max(-1.0, s)), pos, iid))
     scored.sort(key=lambda t: (-t[0], t[1]))
     return [iid for _, _, iid in scored[:k]]
+
+
+def _lr_sum(terms):
+    """Strictly left-to-right float sum, starting from the first term."""
+    return functools.reduce(operator.add, terms)
+
+
+def _norm(vec):
+    """The kernel's norm: a left-to-right sum of squares, rescaled by a power
+    of two when that sum overflows or falls below the smallest normal."""
+    total = _lr_sum(x * x for x in vec)
+    if sys.float_info.min <= total < math.inf:
+        return math.sqrt(total)
+    exp = math.frexp(max(abs(x) for x in vec))[1]
+    scaled = [math.ldexp(x, -exp) for x in vec]
+    return math.ldexp(math.sqrt(_lr_sum(x * x for x in scaled)), exp)
+
+
+def _oracle(query, images, k):
+    """Pure-Python reference of the emitted bytes: (image id, score) pairs.
+
+    Each score is the kernel's: both vectors divided by their norms, products
+    summed left to right, clamped to [-1, 1]; ranked by (-score, file order).
+    """
+    query = [float(x) for x in query]
+    qn = _norm(query)
+    unit = [x / qn for x in query]
+    scored = []
+    for pos, (iid, vec) in enumerate(images.records()):
+        vec = [float(x) for x in vec]
+        vn = _norm(vec)
+        s = _lr_sum(a * (b / vn) for a, b in zip(unit, vec))
+        scored.append((min(1.0, max(-1.0, s)), pos, iid))
+    scored.sort(key=lambda t: (-t[0], t[1]))
+    return [(iid, s) for s, _, iid in scored[:k]]
 
 
 def test_cosine_stays_clamped():
@@ -62,6 +100,7 @@ def test_matches_bruteforce_oracle():
         k = int(rng.integers(1, n + 2))
         res = retrieve_topk(query, images, k)
         assert res.image_ids() == oracle_topk(query, images, k)
+        assert res.ranked == _oracle(query, images, k)
         assert len(res.ranked) == min(k, n)
         scores = [s for _, s in res.ranked]
         assert all(-1.0 <= s <= 1.0 for s in scores)
@@ -117,6 +156,28 @@ def test_retrieval_validation():
         retrieve_topk([1.0, 0.0], images, 0)
 
 
+def _check_settings(monkeypatch, texts, images, k, expect):
+    """retrieve_all gives `expect` at every setting of the private constants
+    and thread count: the module's own, 1-row blocks with 1-pair tiles, blocks
+    set by the row floor or by the byte bound, and tiles of 2 or 3 pairs, so
+    block and tile edges fall between equal queries and inside one query's
+    candidates."""
+    dim, row_bytes = images.dim, 4 * len(images)
+    for setting in [
+        {},
+        dict(_BLOCK_BYTES=1, _MIN_ROWS=1, _TILE_ENTRIES=1),
+        dict(_BLOCK_BYTES=1, _MIN_ROWS=2, _TILE_ENTRIES=2 * dim),
+        dict(_BLOCK_BYTES=5 * row_bytes, _MIN_ROWS=1, _TILE_ENTRIES=3 * dim),
+        dict(_BLOCK_BYTES=1, _MIN_ROWS=3, _TILE_ENTRIES=3 * dim - 1),
+    ]:
+        for name, value in setting.items():
+            monkeypatch.setattr(retrieval, name, value)
+        for threads in (1, 3):
+            got = retrieve_all(texts, images, k, threads=threads)
+            assert [r.ranked for r in got] == expect, (k, setting, threads)
+        monkeypatch.undo()
+
+
 def test_block_size_and_threads_do_not_change_bytes(monkeypatch):
     """Multi-block, multi-thread retrieval equals per-query retrieval byte for byte.
 
@@ -142,14 +203,117 @@ def test_block_size_and_threads_do_not_change_bytes(monkeypatch):
     texts = EmbeddingTable([f"t{j}" for j in range(len(queries))], queries)
     for k in (1, 3, 4, 7, 22, len(vectors), len(vectors) + 5):
         single = [retrieve_topk(texts.row(t), images, k, text_id=t).ranked for t in texts.ids]
-        for budget in (1, 3 * len(images), retrieval._BLOCK_ENTRIES):
-            monkeypatch.setattr(retrieval, "_BLOCK_ENTRIES", budget)
-            for threads in (1, 3):
-                got = retrieve_all(texts, images, k, threads=threads)
-                assert [r.ranked for r in got] == single, (k, budget, threads)
-        monkeypatch.undo()
+        assert single == [_oracle(texts.row(t), images, k) for t in texts.ids]
+        _check_settings(monkeypatch, texts, images, k, single)
         # Repeated queries rank identically; tied images keep file order.
         assert single[4] == single[5] and single[6] == single[7]
         for ranked in single:
             keys = [(-s, int(iid[1:])) for iid, s in ranked]
             assert keys == sorted(keys)
+
+
+def test_float32_near_ties_keep_their_float64_order(monkeypatch):
+    """Cosines 1e-10 apart, far below float32 resolution, rank as the oracle does.
+
+    The float32 pass cannot order these images, so the top k of the kernel
+    must come through its margin. Scaling either table by 2^100 or 2^-100
+    leaves every byte as it is.
+    """
+    rng = np.random.default_rng(21)
+    dim, ties = 7, 24
+    query = rng.standard_normal(dim)
+    query /= np.linalg.norm(query)
+    cosines = 0.8 + 1e-10 * rng.permutation(ties)
+    # Unit directions orthogonal to the query, one per tied image.
+    side = rng.standard_normal((ties, dim))
+    side -= (side @ query)[:, None] * query
+    side /= np.linalg.norm(side, axis=1, keepdims=True)
+    tied = cosines[:, None] * query + np.sqrt(1.0 - cosines**2)[:, None] * side
+    distract = rng.standard_normal((30, dim))
+    distract -= (np.abs(distract @ query) + 1.0)[:, None] * query
+    vectors = np.concatenate([distract[:15], tied, distract[15:]])
+    queries = np.stack([query, query + 1e-9 * rng.standard_normal(dim), -query])
+    ids = [f"i{j}" for j in range(len(vectors))]
+    base = {}
+    for scale in (1.0, 2.0**100, 2.0**-100):
+        images = EmbeddingTable(ids, scale * vectors)
+        texts = EmbeddingTable(["a", "b", "c"], queries / scale)
+        for k in (1, 5, 12, ties - 1, ties, ties + 3):
+            expect = [_oracle(q, images, k) for q in texts.vectors]
+            assert base.setdefault(k, expect) == expect
+            _check_settings(monkeypatch, texts, images, k, expect)
+        # The k-th place falls inside the tied run.
+        assert {iid for iid, _ in base[12][0]} < {f"i{j}" for j in range(15, 15 + ties)}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 512])
+def test_kernel_sums_each_pair_left_to_right(dim):
+    """The kernel equals a pure-Python left-to-right sum, bit for bit.
+
+    numpy sums pairwise, without warning, a single column and an F-ordered
+    array such as the result of `a[:, idx]`. So the pair counts straddle a
+    tile edge (the last tile may hold one pair), and F-ordered and
+    fancy-indexed inputs are included. The first pair's products are all
+    -0.0, which a running sum keeps.
+    """
+    rng = np.random.default_rng(dim)
+    tile = retrieval._tile_pairs(dim)
+    idx = rng.permutation(dim + 3)[:dim]
+    for pairs in sorted({1, 2, tile - 1, tile, tile + 1} - {0}):
+        # Terms of wide-ranging size make the order of additions visible.
+        a = rng.standard_normal((pairs, dim)) * 2.0 ** rng.integers(-20, 20, (pairs, dim))
+        b = rng.standard_normal((pairs, dim))
+        a[0], b[0] = 1.0, -0.0
+        wide = np.zeros((pairs, dim + 3))
+        wide[:, idx] = a
+        for x, y in ((a, b), (np.asfortranarray(a), np.asfortranarray(b)), (wide[:, idx], b)):
+            want = [_lr_sum(p * q for p, q in zip(rx, ry)) for rx, ry in zip(x.tolist(), y.tolist())]
+            assert retrieval._row_dots(x, y).tobytes() == np.array(want).tobytes(), (pairs, x.flags)
+            assert np.signbit(retrieval._row_dots(x, y)[0])
+        norms = retrieval.row_norms(np.asfortranarray(a))
+        want = [math.sqrt(_lr_sum(p * p for p in row)) for row in a.tolist()]
+        assert norms.tobytes() == np.array(want).tobytes()
+
+
+def test_norms_outside_float_range_give_true_cosines():
+    """A squared norm that overflows or underflows is rescaled, not lost.
+
+    Before, [1e200, 1e200] scored 0.0 against [1, 0], [1e-200, 1e-200] scored
+    nan, and a query [1e-200, 1e-200] was refused as a zero vector.
+    """
+    vectors = [[1e200, 1e200], [1e-200, 1e-200], [3.0, -4.0], [1e-200, 3e-201], [-1e300, 2e299]]
+    images = EmbeddingTable(["big", "small", "plain", "tiny", "huge"], vectors)
+    for query in ([1.0, 0.0], [1e-200, 1e-200], [-1e300, 1e300], [0.6, 0.8]):
+        for k in range(1, 6):
+            assert retrieve_topk(query, images, k).ranked == _oracle(query, images, k)
+    scores = dict(retrieve_topk([1.0, 0.0], images, 5).ranked)
+    assert scores["big"] == pytest.approx(math.sqrt(0.5), abs=1e-15)
+    assert scores["small"] == pytest.approx(math.sqrt(0.5), abs=1e-15)
+    # Power-of-two scaling leaves the unit rows, so the bytes, as they are,
+    # in range or not.
+    rng = np.random.default_rng(3)
+    vecs = rng.standard_normal((20, 5))
+    texts = EmbeddingTable([f"t{j}" for j in range(4)], rng.standard_normal((4, 5)))
+    base = retrieve_all(texts, EmbeddingTable([f"i{j}" for j in range(20)], vecs), 6)
+    for scale in (2.0**600, 2.0**-600):
+        scaled = vecs.copy()
+        scaled[::3] *= scale
+        images = EmbeddingTable([f"i{j}" for j in range(20)], scaled)
+        texts_scaled = EmbeddingTable(texts.ids, texts.vectors * scale)
+        got = retrieve_all(texts_scaled, images, 6)
+        assert [r.ranked for r in got] == [r.ranked for r in base]
+
+
+def test_norm_that_is_not_a_normal_float_is_refused():
+    """A row whose norm overflows, or is subnormal, is named, never scored."""
+    images = EmbeddingTable(["ok", "huge"], [[1.0, 0.0], [1.5e308, 1.5e308]])
+    with pytest.raises(DataError, match="'huge' has a norm outside the float64 range"):
+        retrieve_topk([1.0, 0.0], images, 1)
+    images = EmbeddingTable(["ok", "sub"], [[1.0, 0.0], [2.0**-1074, 2.0**-1074]])
+    with pytest.raises(DataError, match="'sub' has a norm"):
+        retrieve_topk([1.0, 0.0], images, 1)
+    images = EmbeddingTable(["ok"], [[1.0, 0.0]])
+    with pytest.raises(DataError, match="'q' has a norm"):
+        retrieve_topk([1e-310, 0.0], images, 1, text_id="q")
+    with pytest.raises(DataError, match="zero query vector"):
+        retrieve_topk([0.0, 0.0], images, 1)
