@@ -29,7 +29,6 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 
 import numpy as np
 import orjson

@@ -126,11 +126,13 @@ class GenderLexicon:
             if value is not None and (not value or set(tokenize(value)) & gendered):
                 raise DataError(f"replacement target {value!r} for {key!r} is itself gendered")
         object.__setattr__(self, "_gendered", gendered)
-        # Prefilter: a gendered token lowercased is a substring of the
-        # lowercased text, so a text this misses has no gendered token.
-        # "men" stands for the phrase rule, which runs under any lexicon.
-        words = sorted(gendered | {"men"})
-        object.__setattr__(self, "_prefilter", re.compile("|".join(map(re.escape, words))))
+        # Prefilter for ASCII text, which lowers letter for letter: a gendered
+        # token stands in the lowered text with no letter on either side, so a
+        # text this misses has none. "men" stands for the phrase rule, which
+        # runs under any lexicon. Each lookbehind follows its word, so the
+        # search still skips ahead to the words' first letters.
+        words = "|".join(f"{w}(?<![a-z]{w})" for w in map(re.escape, sorted(gendered | {"men"})))
+        object.__setattr__(self, "_prefilter", re.compile(f"(?:{words})(?![a-z])"))
 
     def __hash__(self):
         # Agrees with the generated __eq__, which compares the four fields;
@@ -190,13 +192,15 @@ class CaptionGender(Enum):
 
 def _gender_hits(text, lexicon):
     """(has a masculine token, has a feminine token) for one text."""
-    lowered = text.lower()
-    if not lexicon._prefilter.search(lowered):
-        return False, False
-    # An ASCII text lowers letter for letter, so its tokens can come from the
-    # lowered text; str.lower() can turn a non-ASCII letter into an ASCII one
-    # (the Kelvin sign into "k"), so other texts are tokenized as written.
-    tokens = set(_WORD_RE.findall(lowered) if text.isascii() else tokenize(text))
+    # str.lower() can turn a non-ASCII letter into an ASCII one (the Kelvin
+    # sign into "k"), so only an ASCII text is prefiltered and tokenized lowered.
+    if text.isascii():
+        lowered = text.lower()
+        if not lexicon._prefilter.search(lowered):
+            return False, False
+        tokens = set(_WORD_RE.findall(lowered))
+    else:
+        tokens = set(tokenize(text))
     return not tokens.isdisjoint(lexicon.masculine), not tokens.isdisjoint(lexicon.feminine)
 
 
@@ -255,11 +259,11 @@ def neutralize(text, lexicon=None):
     attributively (next word follows directly and is not a function word);
     otherwise it degrades to "person". Sentence-initial capitalization is
     preserved. Output never contains a gendered token, so the rewrite is
-    idempotent. A text the lexicon's prefilter misses is returned as is.
+    idempotent. An ASCII text the lexicon's prefilter misses is returned as is.
     """
     lexicon = lexicon or GenderLexicon.default()
     lowered = text.lower()
-    if not lexicon._prefilter.search(lowered):
+    if text.isascii() and not lexicon._prefilter.search(lowered):
         return text
     # The phrase holds "and", whose letters only ASCII a/n/d match when case
     # is ignored, so a lowered text without "and" holds no phrase.
@@ -308,50 +312,46 @@ def neutralize(text, lexicon=None):
     return "".join(parts)
 
 
-@dataclass
-class Caption:
-    id: str
-    image_id: str
-    text: str
-
-    def __post_init__(self):
-        if not self.id or not isinstance(self.id, str):
-            raise DataError(f"caption id must be a non-empty string, got {self.id!r}")
-        if not self.image_id or not isinstance(self.image_id, str):
-            raise DataError(f"caption {self.id!r}: image_id must be a non-empty string")
-        if not self.text or not isinstance(self.text, str):
-            raise DataError(f"caption {self.id!r}: text must be a non-empty string")
-
-
 def load_captions(path):
-    """Load {"id", "image_id", "text"} JSONL records in file order."""
-    captions = []
+    """Load {"id", "image_id", "text"} JSONL records as the columns
+    (ids, image_ids, texts), three lists in file order."""
+    ids, image_ids, texts = [], [], []
     seen = set()
     for lineno, obj in _parse_jsonl(path):
         try:
-            # Arguments are read left to right, so the first missing key raises.
-            cap = Caption(id=obj["id"], image_id=obj["image_id"], text=obj["text"])
+            # Read left to right, so the first missing key raises.
+            cid, image_id, text = obj["id"], obj["image_id"], obj["text"]
         except KeyError as exc:
             raise DataError(f"{path}, line {lineno}: record needs {exc.args[0]!r}") from None
-        except DataError as exc:
-            raise DataError(f"{path}, line {lineno}: {exc}") from None
-        if cap.id in seen:
-            raise DataError(f"{path}, line {lineno}: duplicate caption id {cap.id!r}")
-        seen.add(cap.id)
-        captions.append(cap)
-    return captions
+        if not cid or not isinstance(cid, str):
+            problem = f"caption id must be a non-empty string, got {cid!r}"
+        elif not image_id or not isinstance(image_id, str):
+            problem = f"caption {cid!r}: image_id must be a non-empty string"
+        elif not text or not isinstance(text, str):
+            problem = f"caption {cid!r}: text must be a non-empty string"
+        elif cid in seen:  # last: an id that is not a string may not hash
+            problem = f"duplicate caption id {cid!r}"
+        else:
+            seen.add(cid)
+            ids.append(cid)
+            image_ids.append(image_id)
+            texts.append(text)
+            continue
+        raise DataError(f"{path}, line {lineno}: {problem}")
+    return ids, image_ids, texts
 
 
 _SAVE_BATCH = 4096  # lines formatted, then encoded and written at once
 
 
-def save_captions(captions, path):
-    captions = iter(captions)
+def save_captions(columns, path):
+    """Write the columns (ids, image_ids, texts) as caption JSONL lines."""
+    rows = zip(*columns, strict=True)
     with open(path, "wb") as fh:
-        while batch := list(islice(captions, _SAVE_BATCH)):
+        while batch := list(islice(rows, _SAVE_BATCH)):
             lines = [
                 '{"id": %s, "image_id": %s, "text": %s}\n'
-                % (_json_ascii(cap.id), _json_ascii(cap.image_id), _json_ascii(cap.text))
-                for cap in batch
+                % (_json_ascii(cid), _json_ascii(image_id), _json_ascii(text))
+                for cid, image_id, text in batch
             ]
             fh.write("".join(lines).encode("ascii"))

@@ -170,7 +170,6 @@ def occupation_bias(term_vector, images, labels):
 class OccupationBiasReport:
     per_occupation: dict
     mean_abs_bias: float
-    skipped: list
 
 
 def occupation_bias_report(terms, images, labels):
@@ -178,12 +177,12 @@ def occupation_bias_report(terms, images, labels):
 
     Raises DataError if the table is empty, or UndefinedBiasError (a
     DataError) naming the missing class or classes if the images lack Male or
-    Female labels, which leaves every term undefined. A returned report skips
-    no term.
+    Female labels, which leaves every term undefined. Otherwise every term
+    is scored.
     """
     if len(terms) == 0:
         raise DataError("the occupation term table is empty")
     means = _class_means(images, labels)
     per_occupation = {term_id: _gap(vec, means, term_id) for term_id, vec in terms.records()}
     mean_abs = math.fsum(abs(b) for b in per_occupation.values()) / len(per_occupation)
-    return OccupationBiasReport(per_occupation=per_occupation, mean_abs_bias=mean_abs, skipped=[])
+    return OccupationBiasReport(per_occupation=per_occupation, mean_abs_bias=mean_abs)

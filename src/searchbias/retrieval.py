@@ -136,23 +136,22 @@ def _rank_block(queries, qnorms, images, inorms, units, k):
     # by a power of two leaves its unit vector, so its scores, bit-identical;
     # collinear pairs need not reach +-1 exactly.
     qunits = queries / qnorms[:, None]
-    if k < n:
-        scores = qunits.astype(np.float32) @ units.T
-        # The k-th score of each row, partitioned a few rows at a time, so
-        # no second copy of the block is made.
-        kth = np.empty(len(scores), dtype=np.float32)
-        per = max(1, _TILE_ENTRIES // n)
-        for lo in range(0, len(scores), per):
-            kth[lo : lo + per] = np.partition(scores[lo : lo + per], n - k, axis=1)[:, n - k]
-        # The floor is computed in float64, then rounded down onto the float32
-        # grid, so a float32 comparison with it is exact.
-        floor = kth.astype(np.float64) - _margin(images.dim)
-        low = floor.astype(np.float32)
-        low = np.where(low > floor, np.nextafter(low, np.float32(-np.inf)), low)
-        qrow, irow = np.divmod(np.flatnonzero(scores >= low[:, None]), n)
-        del scores, kth  # free the block before the candidates' copies are made
-    else:
-        qrow, irow = np.divmod(np.arange(len(queries) * n), n)
+    k = min(k, n)
+    scores = qunits.astype(np.float32) @ units.T
+    # The k-th score of each row, partitioned a few rows at a time, so no
+    # second copy of the block is made. With k = n it is the row's minimum,
+    # and every image is a candidate.
+    kth = np.empty(len(scores), dtype=np.float32)
+    per = max(1, _TILE_ENTRIES // n)
+    for lo in range(0, len(scores), per):
+        kth[lo : lo + per] = np.partition(scores[lo : lo + per], n - k, axis=1)[:, n - k]
+    # The floor is computed in float64, then rounded down onto the float32
+    # grid, so a float32 comparison with it is exact.
+    floor = kth.astype(np.float64) - _margin(images.dim)
+    low = floor.astype(np.float32)
+    low = np.where(low > floor, np.nextafter(low, np.float32(-np.inf)), low)
+    qrow, irow = np.divmod(np.flatnonzero(scores >= low[:, None]), n)
+    del scores, kth  # free the block before the candidates' copies are made
     exact = np.empty(len(qrow))
     step = _tile_pairs(images.dim)
     # Gather buffers and kernel work space, reused by every tile.
@@ -168,10 +167,10 @@ def _rank_block(queries, qnorms, images, inorms, units, k):
     np.clip(exact, -1.0, 1.0, out=exact)
     # Candidates come by query, then in ascending image row, so one stable
     # sort by (query, -score) breaks ties by file order. Every query has at
-    # least min(k, n) candidates; its first that many are its top k.
+    # least k candidates; its first k are its top k.
     order = np.lexsort((-exact, qrow))
     starts = np.searchsorted(qrow, np.arange(len(queries)))
-    keep = order[starts[:, None] + np.arange(min(k, n))]
+    keep = order[starts[:, None] + np.arange(k)]
     ids = images.ids
     rows, scores = irow[keep].tolist(), exact[keep].tolist()
     return [[(ids[i], s) for i, s in zip(r, sc)] for r, sc in zip(rows, scores)]
@@ -188,12 +187,10 @@ def _rank(queries, images, k, threads=1, query_ids=None):
     qnorms = row_norms(queries, query_ids)
     if not np.all(qnorms > 0.0):
         raise DataError("zero query vector")
-    units = None
-    if k < len(images):
-        # The float32 unit rows (N x dim x 4 bytes) come from the kernel's own
-        # float64 division, rounded once more; no float64 copy is made.
-        units = np.empty(vectors.shape, dtype=np.float32)
-        np.divide(vectors, inorms[:, None], out=units, casting="same_kind")
+    # The float32 unit rows (N x dim x 4 bytes) come from the kernel's own
+    # float64 division, rounded once more; no float64 copy is made.
+    units = np.empty(vectors.shape, dtype=np.float32)
+    np.divide(vectors, inorms[:, None], out=units, casting="same_kind")
     budget = max(_BLOCK_BYTES, vectors.size)  # a quarter of the unit table's bytes
     rows = max(_MIN_ROWS, budget // (4 * len(images)))
     starts = range(0, len(queries), rows)

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import _NUMBER_TYPES, DataError, Dataset, EmbeddingTable, _json_object, _read_utf8, gender_codes
+from .core import _NUMBER_TYPES, DataError, EmbeddingTable, _json_object, _read_utf8, gender_codes
 from .metrics import bias_at_k, recall_at_k
 from .retrieval import retrieve_all
 

@@ -216,9 +216,9 @@ def test_string_fields_match_the_stdlib_decoder(tmp_path):
 
     assert load_labels(labels) == {r["id"]: GenderLabel.MALE for r in reference(labels)}
     assert load_truth(truth) == {r["text_id"]: r["image_id"] for r in reference(truth)}
-    assert [(c.id, c.image_id, c.text) for c in load_captions(captions)] == [
-        (r["id"], r["image_id"], r["text"]) for r in reference(captions)
-    ]
+    assert load_captions(captions) == tuple(
+        [r[key] for r in reference(captions)] for key in ("id", "image_id", "text")
+    )
     assert "😀" in load_truth(truth).values()
 
 

@@ -34,3 +34,26 @@ def test_every_third_party_import_is_a_declared_dependency():
     third_party = imported - set(sys.stdlib_module_names) - {project["name"]}
     assert "numpy" in third_party  # the scan sees the package's imports
     assert third_party <= declared, f"imported but not in [project] dependencies: {sorted(third_party - declared)}"
+
+
+def unused_top_level_imports(path):
+    """Names that a module's top-level imports bind and its code never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return bound - used
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    package = ROOT / "src" / "searchbias"
+    unused = {
+        path.name: sorted(names)
+        for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py" and (names := unused_top_level_imports(path))
+    }
+    assert unused == {}

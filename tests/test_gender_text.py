@@ -12,7 +12,6 @@ import pytest
 
 from searchbias.core import DataError, GenderLabel
 from searchbias.gender_text import (
-    Caption,
     CaptionGender,
     GenderLexicon,
     caption_gender,
@@ -240,13 +239,13 @@ def test_neutralize_idempotent_and_complete_on_fuzz():
 
 
 def test_captions_round_trip_and_errors(tmp_path):
-    caps = [
-        Caption(id="c1", image_id="i1", text="A dog."),
-        Caption(id="c2", image_id="i1", text="A man sleeping."),
-    ]
+    caps = (["c1", "c2"], ["i1", "i1"], ["A dog.", "A man sleeping."])
     path = tmp_path / "caps.jsonl"
     save_captions(caps, path)
     assert load_captions(path) == caps
+    copy = tmp_path / "copy.jsonl"
+    save_captions(load_captions(path), copy)
+    assert copy.read_bytes() == path.read_bytes()
 
     path.write_text('{"id": "c1", "image_id": "i1", "text": "x"}\n{"id": "c1", "image_id": "i2", "text": "y"}\n')
     with pytest.raises(DataError, match="duplicate"):
@@ -259,8 +258,38 @@ def test_captions_round_trip_and_errors(tmp_path):
         path.write_text(f'{{"id": {bad_id}, "image_id": "i1", "text": "x"}}\n')
         with pytest.raises(DataError, match="line 1: caption id must be a non-empty string"):
             load_captions(path)
-    with pytest.raises(DataError):
-        Caption(id="c1", image_id="i1", text="")
+    path.write_text('{"id": "c1", "image_id": "i1", "text": ""}\n')
+    with pytest.raises(DataError, match="line 1: caption 'c1': text must be a non-empty string"):
+        load_captions(path)
+
+
+@pytest.mark.parametrize(
+    ("lines", "message"),
+    [
+        (['{"image_id": "i1"}'], "line 1: record needs 'id'"),
+        (['{"id": "c1", "image_id": "i1"}'], "line 1: record needs 'text'"),
+        (['{"id": 7, "image_id": "i1", "text": "x"}'], "line 1: caption id must be a non-empty string, got 7"),
+        (['{"id": [], "image_id": "i1", "text": "x"}'], "line 1: caption id must be a non-empty string, got []"),
+        (['{"id": "", "image_id": "i1", "text": "x"}'], "line 1: caption id must be a non-empty string, got ''"),
+        (['{"id": "c1", "image_id": "", "text": "x"}'], "line 1: caption 'c1': image_id must be a non-empty string"),
+        (['{"id": "c1", "image_id": "i1", "text": ""}'], "line 1: caption 'c1': text must be a non-empty string"),
+        (['{"id": "c1", "image_id": "i1", "text": 3}'], "line 1: caption 'c1': text must be a non-empty string"),
+        (
+            [
+                '{"id": "c1", "image_id": "i1", "text": "x"}',
+                '{"id": "c1", "image_id": "i2", "text": "y"}',
+                '{"id": "c3"}',
+            ],
+            "line 2: duplicate caption id 'c1'",
+        ),
+    ],
+)
+def test_malformed_caption_messages(tmp_path, lines, message):
+    path = tmp_path / "caps.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(DataError) as info:
+        load_captions(path)
+    assert str(info.value) == f"{path}, {message}"
 
 
 def test_save_captions_writes_the_json_dumps_bytes(tmp_path):
@@ -271,14 +300,15 @@ def test_save_captions_writes_the_json_dumps_bytes(tmp_path):
         "astral \U0001f600",
         "lone \ud800 surrogate",
     ]
-    caps = [
-        Caption(id=f"c{i}{a}", image_id=f"{a}i{i % 2}", text=f"A man {a}.")
-        for i, a in enumerate(awkward)
-    ]
+    caps = (
+        [f"c{i}{a}" for i, a in enumerate(awkward)],
+        [f"{a}i{i % 2}" for i, a in enumerate(awkward)],
+        [f"A man {a}." for a in awkward],
+    )
     path = tmp_path / "caps.jsonl"
     save_captions(caps, path)
     expected = "".join(
-        json.dumps({"id": c.id, "image_id": c.image_id, "text": c.text}) + "\n" for c in caps
+        json.dumps({"id": cid, "image_id": iid, "text": text}) + "\n" for cid, iid, text in zip(*caps)
     )
     assert path.read_bytes() == expected.encode("ascii")
 
@@ -337,6 +367,20 @@ def test_prefilter_never_changes_the_caption_tools():
     assert caption_gender("\u212aing and queen", custom) is CaptionGender.HAS_FEM
     assert neutralize("A \u212aing", custom) == "A \u212aing"
     assert neutralize("\u0130man and \u017fon", GenderLexicon.default()) == "\u0130person and \u017fon"
+
+
+def test_prefilter_matches_whole_words_of_ascii_text():
+    prefilter = GenderLexicon.default()._prefilter
+    for text in ("a person", "mason", "mankind"):
+        assert not prefilter.search(text.lower()), text
+    for text in ("Women's", "3men", "MEN AND WOMEN"):
+        assert prefilter.search(text.lower()), text
+    # Lowering can put an ASCII letter beside a token of a non-ASCII text
+    # ("\u212aman" lowers to "kman"), so such a text skips the prefilter.
+    assert not prefilter.search("\u212aman".lower())
+    assert caption_gender("\u212aman") is CaptionGender.HAS_MASC
+    assert neutralize("\u212aman") == "\u212aperson"
+    assert neutralize("man\u0130") == "person\u0130"
 
 
 def _pinned_corpus(rng, words, n):
