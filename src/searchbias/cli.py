@@ -252,7 +252,13 @@ def cmd_evaluate(args):
     print(f"evaluate: {len(results)} queries; {headline}")
 
 
+def _check_bins(args):
+    if args.bins < 1:
+        raise DataError("bins must be >= 1")
+
+
 def cmd_clip_fit(args):
+    _check_bins(args)
     images = load_embeddings(args.images)
     labels = load_labels(args.labels)
     plan = fit_clip_plan(images, labels, args.m, bins=args.bins)
@@ -356,6 +362,7 @@ def cmd_sweep_m(args):
     m_list = sorted(set(args.m_list))
     if not m_list or m_list[0] < 0:
         raise DataError("--m-list needs m values >= 0")
+    _check_bins(args)
     images, texts, labels, truth = _load_inputs(args)
     if m_list[-1] >= images.dim:
         raise DataError(f"max m {m_list[-1]} must be < dim {images.dim}")

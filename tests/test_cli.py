@@ -810,6 +810,18 @@ def test_flags_are_checked_before_any_input_is_read(data_dir, tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["clip-fit", "sweep-m"])
+def test_bins_is_checked_before_any_input_is_read(data_dir, tmp_path, capsys, command):
+    """A missing --images is not reached: --bins 0 is refused first."""
+    out = tmp_path / "out"
+    flags = ["-m", "1"] if command == "clip-fit" else [*dataset_args(data_dir), "--m-list", "0,1"]
+    argv = [command, *flags, "--images", str(tmp_path / "missing.jsonl"),
+            "--labels", str(data_dir / "labels.jsonl"), "--bins", "0", "--out-dir", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: bins must be >= 1\n"
+    assert not (out / "manifest.json").exists()
+
+
 def test_exit_codes(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"id": "a", "vector": "nope"}\n')

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from searchbias import clipper
 from searchbias.clipper import ClipPlan, apply_clip, estimate_mi, fit_clip_plan
 from searchbias.core import DataError, EmbeddingTable, GenderLabel
 
@@ -117,6 +118,66 @@ def test_fit_tie_break_ascending_dim():
     plan = fit_clip_plan(images, labels, m=2)
     assert plan.mi[0] == plan.mi[1]
     assert plan.clipped == [0, 1]
+
+
+def reference_mi(column, codes, bins):
+    """The MI of one column as `estimate_mi` scored it before the block fit:
+    a stable argsort, a scatter of bins back to rows, one (bin, class)
+    histogram, and a 1-d sum of its non-empty cells' terms."""
+    n = column.shape[0]
+    if np.all(column == column[0]):
+        return 0.0
+    bin_id = np.empty(n, dtype=np.int64)
+    bin_id[np.argsort(column, kind="stable")] = (np.arange(n, dtype=np.int64) * bins) // n
+    joint = np.bincount(bin_id * 3 + np.array([1, 2, 0])[codes + 1], minlength=bins * 3)
+    joint = joint.reshape(bins, 3) / n
+    p = joint.sum(axis=1, keepdims=True) * joint.sum(axis=0, keepdims=True)
+    nz = joint > 0.0
+    return max(float(np.sum(joint[nz] * np.log(joint[nz] / p[nz]))), 0.0)
+
+
+def mi_tables():
+    """(vectors, codes, bins) of tables that reach every case of the block fit."""
+    rng = np.random.default_rng(12)
+    # (n, bins, classes present): n == bins, n not a multiple of bins, and a
+    # table with no Neutral row, whose every column has empty cells.
+    for n, bins, present in ((300, 20, (1, -1, 0)), (97, 7, (1, -1, 0)), (40, 40, (1, -1, 0)),
+                             (120, 9, (1, -1))):
+        codes = rng.choice(np.array(present, dtype=np.int8), n)
+        signed_zeros = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+        yield np.column_stack([
+            *rng.standard_normal((4, n)),  # distinct values
+            *(np.round(rng.standard_normal((4, n)) * 2) / 2),  # ties, -0.0 among them
+            np.where(rng.random(n) < 0.6, signed_zeros, 1.0),  # -0.0 tied with 0.0
+            np.full(n, 2.5),  # constant
+            signed_zeros,  # constant, as -0.0 == 0.0
+            codes * 3.0 + rng.standard_normal(n),  # each class in its own ranks
+            np.where(codes == 1, rng.standard_normal(n), 5.0 + rng.random(n)),  # no Male on top
+        ]), codes, bins
+    # Each bin holds one row of each class, so the first column's plug-in sum
+    # rounds to -1.1e-16, which the clamp makes 0.0.
+    codes = np.tile(np.array([1, -1, 0], dtype=np.int8), 14)
+    yield np.column_stack([np.arange(42.0), *rng.standard_normal((6, 42))]), codes, 14
+
+
+@pytest.mark.parametrize("width", [1, 5, None])
+def test_fit_matches_a_per_column_reference_bitwise(monkeypatch, width):
+    """Blocks of one column, of five (no table's dim is a multiple of five)
+    and of the whole table give each column the reference's bits, and the
+    plan the reference's bytes."""
+    label_of = {1: M, -1: F, 0: N}
+    for vectors, codes, bins in mi_tables():
+        n, dim = vectors.shape
+        monkeypatch.setattr(clipper, "_BLOCK_BYTES", 8 * n * (width or dim))
+        want = np.array([reference_mi(vectors[:, d], codes, bins) for d in range(dim)])
+        ids = [f"i{j}" for j in range(n)]
+        images = EmbeddingTable(ids, vectors)
+        plan = fit_clip_plan(images, dict(zip(ids, map(label_of.get, codes.tolist()))), dim - 1, bins)
+        assert np.asarray(plan.mi).view(np.int64).tolist() == want.view(np.int64).tolist()
+        clipped = [int(d) for d in np.argsort(-want, kind="stable")[:dim - 1]]
+        assert plan.to_json() == ClipPlan(dim=dim, mi=want.tolist(), clipped=clipped).to_json()
+        got = [estimate_mi(vectors[:, d], codes, bins=bins) for d in range(dim)]
+        assert np.array(got).view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 def test_fit_m_validation():
