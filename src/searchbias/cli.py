@@ -52,7 +52,7 @@ from .gender_text import (
 )
 from .metrics import bias_at_k, metric_curve, occupation_bias_report, recall_at_k
 from .retrieval import retrieve_all
-from .trainer import TrainerConfig, train, train_alphas
+from .trainer import TrainerConfig, train, train_alphas, validate, validation_split
 
 BOOTSTRAP_RESAMPLES = 200
 
@@ -205,6 +205,8 @@ def cmd_neutralize(args):
 
 
 def cmd_retrieve(args):
+    if args.k < 1:
+        raise DataError("k must be >= 1")
     images, texts = _load_pair(args.images, args.texts)
     results = retrieve_all(texts, images, k=args.k, threads=args.threads)
     _save_results(results, _out_path(args, "results.jsonl"))
@@ -259,6 +261,8 @@ def _check_bins(args):
 
 def cmd_clip_fit(args):
     _check_bins(args)
+    if args.m < 0:
+        raise DataError("m must be >= 0")
     images = load_embeddings(args.images)
     labels = load_labels(args.labels)
     plan = fit_clip_plan(images, labels, args.m, bins=args.bins)
@@ -293,13 +297,10 @@ def cmd_train(args):
     cfg = _trainer_config(args, args.alpha, args.seed)
     header = ["epoch", "total_loss", "val_recall_at_10", "val_bias_at_10"]
     log = []
-
-    def log_epoch(row):
-        # Reading the row validates its epoch now, inside train(), so an
-        # error leaves no file and no row keeps its epoch's encoders alive.
-        log.append([row[key] for key in header])
-
-    encoders = train(ds, cfg, text_labels=text_labels, val_frac=args.val_frac, on_epoch=log_epoch)
+    encoders = train(
+        ds, cfg, text_labels=text_labels, val_frac=args.val_frac,
+        on_epoch=lambda row: log.append([row[key] for key in header]),
+    )
     encoders.save(_out_path(args, "encoders.json"), cfg)
     _write_csv(_out_path(args, "training_log.csv"), header, log)
     if log:
@@ -325,27 +326,25 @@ def cmd_sweep_alpha(args):
         raise DataError("val_frac must be in [0, 1)")
     ds = Dataset(*_load_inputs(args))
     text_labels = load_labels(args.text_labels) if args.text_labels else None
-    # Each run is scored on the validation split, as train() rounds it.
-    n_val = int(round(len(ds.texts) * args.val_frac))
-    if n_val < 1:
+    # Each run is scored once, on the held-out rows of its seed's split.
+    val_rows = [validation_split(len(ds.texts), seed, args.val_frac)[0] for seed in seeds]
+    if not val_rows[0].size:
         raise DataError(
             f"sweep-alpha needs a non-empty validation split to score each run; "
-            f"--val-frac {args.val_frac} of {len(ds.texts)} texts gives {max(n_val, 0)}"
+            f"--val-frac {args.val_frac} of {len(ds.texts)} texts gives 0"
         )
-    # scores[i]: (Recall@10, Bias@10) of alphas[i]'s final epoch, one per seed.
+    # scores[i]: (Recall@10, Bias@10) of alphas[i]'s final encoders, one per seed.
     scores = [[] for _ in alphas]
-    for seed in seeds:
-        # One lockstep pass per seed; only each run's latest row is kept.
-        latest = [None] * len(alphas)
-        train_alphas(
+    for seed, val_idx in zip(seeds, val_rows):
+        # One lockstep pass per seed.
+        encoders = train_alphas(
             ds,
             [_trainer_config(args, alpha, seed) for alpha in alphas],
             text_labels=text_labels,
             val_frac=args.val_frac,
-            on_epoch=latest.__setitem__,
         )
-        for runs, row in zip(scores, latest):
-            runs.append((row["val_recall_at_10"], row["val_bias_at_10"]))
+        for runs, enc in zip(scores, encoders):
+            runs.append(validate(ds, enc, val_idx))
     rows = []
     for alpha, runs in zip(alphas, scores):
         recalls, biases = zip(*runs)

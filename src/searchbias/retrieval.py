@@ -231,6 +231,8 @@ def retrieve_all(texts, images, k, threads=1):
     """
     if texts.dim != images.dim:
         raise DataError(f"text dim {texts.dim} does not match image dim {images.dim}")
+    if k < 1:
+        raise DataError("k must be >= 1")
     if len(texts) == 0:
         return []
     ranked = _rank(texts.vectors, images, k, threads=threads, query_ids=texts.ids)

@@ -19,10 +19,8 @@ batches, so `train_alphas` steps them together, stacked along a leading axis;
 
 from __future__ import annotations
 
-import functools
 import json
 import math
-from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, replace
 from itertools import chain
 from typing import NamedTuple
@@ -139,8 +137,10 @@ class LinearEncoders:
     w_txt: np.ndarray
 
     def __post_init__(self):
-        # Read-only views: an epoch's log row validates these arrays when it
-        # is first read, so they must not change after the epoch ends.
+        # Read-only views, as an EmbeddingTable holds its vectors: no holder
+        # of an encoder, such as the views of its stacked weights that
+        # `train_alphas` returns, can change it in place, while the caller's
+        # own arrays stay writable.
         self.w_img = _read_only(self.w_img)
         self.w_txt = _read_only(self.w_txt)
         if self.w_img.ndim != 2 or self.w_txt.ndim != 2 or self.w_img.shape != self.w_txt.shape:
@@ -377,39 +377,30 @@ def _build_pairs(dataset, text_labels=None):
     return rows, genders, neutral
 
 
-_LOG_KEYS = ("epoch", "total_loss", "val_recall_at_10", "val_bias_at_10")
+def validation_split(n, seed, val_frac):
+    """The held-out and the training rows of `n` pairs, `(val_idx, train_idx)`:
+    the first round(n * val_frac) rows of a permutation drawn from the split
+    stream of `seed`, and the rest."""
+    perm = np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[1]).permutation(n)
+    n_val = int(round(n * val_frac))
+    return perm[:n_val], perm[n_val:]
 
 
-class EpochRow(Mapping):
-    """One epoch's read-only log row: epoch, total_loss, val_recall_at_10 and
-    val_bias_at_10, in that order.
-
-    The two validation metrics are computed together on the first read of
-    either, from the encoders that ended the epoch and the dataset given to
-    `train`; a row nobody reads never validates, and a validation error is
-    raised by the read. Until then the row holds its epoch's encoders.
-    """
-
-    __slots__ = ("_values", "_validate")
-
-    def __init__(self, epoch, total_loss, validate):
-        self._values = {"epoch": epoch, "total_loss": total_loss}
-        self._validate = validate
-
-    def __getitem__(self, key):
-        if self._validate is not None and key in _LOG_KEYS[2:]:
-            self._values["val_recall_at_10"], self._values["val_bias_at_10"] = self._validate()
-            self._validate = None
-        return self._values[key]
-
-    def __iter__(self):
-        return iter(_LOG_KEYS)
-
-    def __len__(self):
-        return len(_LOG_KEYS)
-
-    def __contains__(self, key):
-        return key in _LOG_KEYS
+def validate(dataset, encoders, val_idx):
+    """(Recall@10, Bias@10) of `encoders` on the texts at rows `val_idx`,
+    ranked against every image; nan, nan when `val_idx` is empty."""
+    if not val_idx.size:
+        return math.nan, math.nan
+    images = EmbeddingTable(dataset.images.ids, encoders.encode_images(dataset.images.vectors))
+    text_ids = dataset.texts.ids
+    texts = EmbeddingTable(
+        [text_ids[i] for i in val_idx.tolist()], encoders.encode_texts(dataset.texts.vectors[val_idx])
+    )
+    results = retrieve_all(texts, images, k=10)
+    return (
+        recall_at_k(results, dataset.truth, 10).recall_at_k,
+        bias_at_k(results, dataset.labels, 10).bias_at_k,
+    )
 
 
 def train_alphas(dataset, cfgs, text_labels=None, val_frac=0.1, on_epoch=None):
@@ -424,11 +415,13 @@ def train_alphas(dataset, cfgs, text_labels=None, val_frac=0.1, on_epoch=None):
     each step stacks their encoders along a leading axis and computes all
     their losses and gradients together. Every run's losses, weights and
     validation metrics equal those of its own `train` call, bit for bit.
-    After each epoch `on_epoch(index, row)` gets each config's `EpochRow`,
-    in config order, whose validation metrics are computed when read (nan
-    with no validation split). Raises RuntimeError, naming the alpha and
-    seed, if a run's loss or weights stop being finite; when several runs
-    diverge at one step, it names the lowest alpha.
+    After each epoch `on_epoch(index, row)` gets each config's log row, in
+    config order: a dict of epoch, total_loss, val_recall_at_10 and
+    val_bias_at_10, the last two from `validate` on the held-out rows of
+    `validation_split` (nan with none). Without `on_epoch` nothing is
+    validated. Raises RuntimeError, naming the alpha and seed, if a run's
+    loss or weights stop being finite; when several runs diverge at one
+    step, it names the lowest alpha.
     """
     cfgs = list(cfgs)
     if not cfgs:
@@ -445,34 +438,17 @@ def train_alphas(dataset, cfgs, text_labels=None, val_frac=0.1, on_epoch=None):
     if n < 2:
         raise DataError("need at least 2 training pairs")
 
+    # The split draws from the second of these streams (`validation_split`).
     ss = np.random.SeedSequence(cfg.seed)
-    init_rng, split_rng, shuffle_rng, neg_rng = (np.random.default_rng(s) for s in ss.spawn(4))
+    init_rng, _, shuffle_rng, neg_rng = (np.random.default_rng(s) for s in ss.spawn(4))
     init = LinearEncoders.init(dataset.images.dim, cfg.emb_dim, init_rng)
     alphas = np.array([c.alpha for c in cfgs])
     w_img = np.repeat(init.w_img[None], len(cfgs), axis=0)
     w_txt = np.repeat(init.w_txt[None], len(cfgs), axis=0)
 
-    perm = split_rng.permutation(n)
-    n_val = int(round(n * val_frac))
-    val_idx = perm[:n_val]
-    train_idx = perm[n_val:]
+    val_idx, train_idx = validation_split(n, cfg.seed, val_frac)
     if train_idx.size < 2:
         raise DataError("training split has fewer than 2 pairs")
-
-    text_id_list = list(dataset.texts.ids)
-
-    def validate(enc):
-        """(Recall@10, Bias@10) of the encoders `enc` on the validation split."""
-        if not val_idx.size:
-            return math.nan, math.nan
-        enc_imgs = EmbeddingTable(list(dataset.images.ids), enc.encode_images(dataset.images.vectors))
-        val_tids = [text_id_list[int(i)] for i in val_idx]
-        enc_txts = EmbeddingTable(val_tids, enc.encode_texts(dataset.texts.vectors[val_idx]))
-        results = retrieve_all(enc_txts, enc_imgs, k=10)
-        return (
-            recall_at_k(results, dataset.truth, 10).recall_at_k,
-            bias_at_k(results, dataset.labels, 10).bias_at_k,
-        )
 
     def diverged(epoch, losses):
         bad_loss = ~np.isfinite(losses)
@@ -510,16 +486,17 @@ def train_alphas(dataset, cfgs, text_labels=None, val_frac=0.1, on_epoch=None):
                 raise diverged(epoch, losses)
         if on_epoch is not None:
             for index, total in enumerate(loss_sum.tolist()):
-                # A copy: the stacked weights keep changing in place.
-                enc = LinearEncoders(w_img=w_img[index].copy(), w_txt=w_txt[index].copy())
-                on_epoch(index, EpochRow(epoch, total, functools.partial(validate, enc)))
+                enc = LinearEncoders(w_img=w_img[index], w_txt=w_txt[index])
+                row = {"epoch": epoch, "total_loss": total}
+                row["val_recall_at_10"], row["val_bias_at_10"] = validate(dataset, enc, val_idx)
+                on_epoch(index, row)
     return [LinearEncoders(w_img=wi, w_txt=wt) for wi, wt in zip(w_img, w_txt)]
 
 
 def train(dataset, cfg, text_labels=None, val_frac=0.1, on_epoch=None):
     """Train one config: `train_alphas` with `cfg` alone.
 
-    After each epoch `on_epoch(row)` gets that epoch's `EpochRow`.
+    After each epoch `on_epoch(row)` gets that epoch's log row.
     """
     callback = None if on_epoch is None else lambda _, row: on_epoch(row)
     return train_alphas(dataset, [cfg], text_labels, val_frac, callback)[0]

@@ -588,6 +588,25 @@ def test_sweep_alpha_and_train_outputs_are_pinned(tmp_path):
     }
 
 
+def test_sweep_alpha_validates_each_run_once_and_train_each_epoch(data_dir, tmp_path, monkeypatch):
+    """sweep-alpha scores only each (alpha, seed) run's final encoders; train
+    validates every epoch."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return retrieve_all(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "retrieve_all", counting)
+    common = [*dataset_args(data_dir), "--epochs", "3", "--batch-size", "32", "--emb-dim", "6"]
+    assert main(["sweep-alpha", *common, "--alphas", "0,1", "--seeds", "0,1",
+                 "--out-dir", str(tmp_path / "sweep")]) == 0
+    assert len(calls) == 4
+    calls.clear()
+    assert main(["train", *common, "--out-dir", str(tmp_path / "train")]) == 0
+    assert len(calls) == 3
+
+
 def _check_sweep_alpha_rejects_an_empty_list(flag, data_dir, tmp_path, capsys, monkeypatch):
     """An empty comma list for `flag` exits 2 before any input is loaded."""
     def no_load(*args, **kwargs):
@@ -820,6 +839,22 @@ def test_bins_is_checked_before_any_input_is_read(data_dir, tmp_path, capsys, co
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: bins must be >= 1\n"
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["retrieve", "-k", "0", "--texts"], "k must be >= 1"),
+        (["clip-fit", "-m", "-1", "--labels"], "m must be >= 0"),
+    ],
+)
+def test_sign_of_k_and_m_is_checked_before_any_input_is_read(tmp_path, capsys, argv, message):
+    """A missing --images is not reached: retrieve -k 0 and clip-fit -m -1 are refused first."""
+    out = tmp_path / "out"
+    assert main([*argv, str(tmp_path / "missing.jsonl"), "--images", str(tmp_path / "missing.jsonl"),
+                 "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_exit_codes(tmp_path, capsys, monkeypatch):

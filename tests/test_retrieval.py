@@ -148,6 +148,14 @@ def test_retrieve_all_empty_texts():
     assert retrieve_all(texts, images, k=3) == []
 
 
+def test_retrieve_all_refuses_k_below_one_whatever_the_texts_hold():
+    images = EmbeddingTable(["a"], [[1.0]])
+    for texts in (EmbeddingTable([], np.zeros((0, 1))), EmbeddingTable(["t"], [[1.0]])):
+        for k in (0, -1):
+            with pytest.raises(DataError, match="k must be >= 1"):
+                retrieve_all(texts, images, k=k)
+
+
 def test_retrieval_validation():
     images = EmbeddingTable(["a"], [[1.0, 0.0]])
     with pytest.raises(DataError):

@@ -481,7 +481,7 @@ def test_train_zero_val_frac_gives_nan_metrics():
     assert math.isnan(rows[0]["val_recall_at_10"])
 
 
-def test_validation_runs_only_for_rows_that_are_read(monkeypatch):
+def test_each_epoch_is_validated_as_it_ends_and_only_with_a_callback(monkeypatch):
     ds = tiny_dataset()
     cfg = TrainerConfig(gamma=0.2, alpha=0.5, lr=0.02, epochs=4, batch_size=16, seed=1, emb_dim=6)
     calls = []
@@ -496,25 +496,24 @@ def test_validation_runs_only_for_rows_that_are_read(monkeypatch):
     assert calls == []
 
     rows = []
-    assert train(ds, cfg, on_epoch=rows.append).w_img.tobytes() == final.w_img.tobytes()
+
+    def log(row):
+        # The epoch is validated before its row is handed over.
+        assert len(calls) == row["epoch"]
+        rows.append(row)
+
+    assert train(ds, cfg, on_epoch=log).w_img.tobytes() == final.w_img.tobytes()
     assert [row["epoch"] for row in rows] == [1, 2, 3, 4]
+    assert all(type(row) is dict for row in rows)
     assert list(rows[0]) == ["epoch", "total_loss", "val_recall_at_10", "val_bias_at_10"]
-    assert len(rows[0]) == 4 and "val_bias_at_10" in rows[0]
-    assert calls == []
-    last = (rows[-1]["val_recall_at_10"], rows[-1]["val_bias_at_10"])
-    assert rows[-1]["val_recall_at_10"] == last[0]
-    assert len(calls) == 1
-
-    rows = []
-    train(ds, cfg, on_epoch=rows.append)
-    calls.clear()
-    for _ in range(2):
-        got = [(row["val_recall_at_10"], row["val_bias_at_10"]) for row in reversed(rows)][::-1]
     assert len(calls) == cfg.epochs
-    assert got[-1] == last
+    got = [(row["val_recall_at_10"], row["val_bias_at_10"]) for row in rows]
 
+    val_idx, train_idx = trainer.validation_split(len(ds.texts), cfg.seed, 0.1)
+    assert sorted(np.concatenate([val_idx, train_idx]).tolist()) == list(range(len(ds.texts)))
     val_ids = calls[0]
     assert all(ids == val_ids for ids in calls) and val_ids
+    assert val_ids == [ds.texts.ids[i] for i in val_idx]
 
     def reference(enc):
         images = EmbeddingTable(list(ds.images.ids), enc.encode_images(ds.images.vectors))
@@ -526,16 +525,19 @@ def test_validation_runs_only_for_rows_that_are_read(monkeypatch):
             bias_at_k(results, ds.labels, 10).bias_at_k,
         )
 
+    calls.clear()
     for epoch, value in enumerate(got, 1):
         assert all(math.isfinite(v) for v in value)
-        assert value == reference(train(ds, dataclasses.replace(cfg, epochs=epoch)))
-    assert got[-1] == reference(final)
-    assert len(calls) == cfg.epochs
+        enc = train(ds, dataclasses.replace(cfg, epochs=epoch))
+        assert value == trainer.validate(ds, enc, val_idx) == reference(enc)
+    assert got[-1] == trainer.validate(ds, final, val_idx) == reference(final)
+    assert len(calls) == cfg.epochs + 1  # one per validate() call, none in train()
 
+    calls.clear()
     rows = []
     train(ds, cfg, val_frac=0.0, on_epoch=rows.append)
     assert all(math.isnan(row[key]) for row in rows for key in ("val_recall_at_10", "val_bias_at_10"))
-    assert len(calls) == cfg.epochs
+    assert calls == []
 
 
 def test_train_text_labels_override_changes_training():
