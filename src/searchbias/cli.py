@@ -278,6 +278,11 @@ def cmd_clip_apply(args):
     print(f"clip-apply: {len(clipped)} vectors reduced to dim {clipped.dim}")
 
 
+def _check_val_frac(args):
+    if not 0.0 <= args.val_frac < 1.0:
+        raise DataError("val_frac must be in [0, 1)")
+
+
 def _trainer_config(args, alpha, seed):
     return TrainerConfig(
         gamma=args.gamma,
@@ -292,9 +297,10 @@ def _trainer_config(args, alpha, seed):
 
 
 def cmd_train(args):
+    cfg = _trainer_config(args, args.alpha, args.seed)
+    _check_val_frac(args)
     ds = Dataset(*_load_inputs(args))
     text_labels = load_labels(args.text_labels) if args.text_labels else None
-    cfg = _trainer_config(args, args.alpha, args.seed)
     header = ["epoch", "total_loss", "val_recall_at_10", "val_bias_at_10"]
     log = []
     encoders = train(
@@ -322,8 +328,8 @@ def cmd_sweep_alpha(args):
         raise DataError("--seeds needs at least one seed")
     if args.epochs < 1:
         raise DataError("sweep-alpha needs --epochs >= 1")
-    if not 0.0 <= args.val_frac < 1.0:
-        raise DataError("val_frac must be in [0, 1)")
+    _check_val_frac(args)
+    cfgs = [[_trainer_config(args, alpha, seed) for alpha in alphas] for seed in seeds]
     ds = Dataset(*_load_inputs(args))
     text_labels = load_labels(args.text_labels) if args.text_labels else None
     # Each run is scored once, on the held-out rows of its seed's split.
@@ -335,14 +341,9 @@ def cmd_sweep_alpha(args):
         )
     # scores[i]: (Recall@10, Bias@10) of alphas[i]'s final encoders, one per seed.
     scores = [[] for _ in alphas]
-    for seed, val_idx in zip(seeds, val_rows):
+    for seed_cfgs, val_idx in zip(cfgs, val_rows):
         # One lockstep pass per seed.
-        encoders = train_alphas(
-            ds,
-            [_trainer_config(args, alpha, seed) for alpha in alphas],
-            text_labels=text_labels,
-            val_frac=args.val_frac,
-        )
+        encoders = train_alphas(ds, seed_cfgs, text_labels=text_labels, val_frac=args.val_frac)
         for runs, enc in zip(scores, encoders):
             runs.append(validate(ds, enc, val_idx))
     rows = []
@@ -375,7 +376,7 @@ def cmd_sweep_m(args):
         results = retrieve_all(texts_m, images_m, k=10, threads=args.threads)
         recalls = [recall_at_k(results, truth, k).recall_at_k for k in (1, 5, 10)]
         bias = bias_at_k(results, labels, 10)
-        deltas = np.array([bias.per_query[res.text_id] for res in results])
+        deltas = np.array(list(bias.per_query.values()))
         # Fresh generator per row: resamples are paired across m values.
         rng = np.random.default_rng(args.seed)
         resampled = [
@@ -545,6 +546,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise DataError("threads must be >= 1")
         with recording_inputs() as inputs:
             args.func(args)
         _write_manifest(args, inputs)

@@ -17,10 +17,9 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
-from json.encoder import encode_basestring_ascii as _json_ascii
 from types import MappingProxyType
 
-from .core import DataError, GenderLabel, _json_object, _parse_jsonl, _read_utf8
+from .core import DataError, GenderLabel, _json_object, _json_str, _parse_jsonl, _read_utf8
 
 # A token is a run of ASCII letters. The group makes split() keep the words
 # between the gaps; findall() returns the words either way.
@@ -341,7 +340,7 @@ def load_captions(path):
     return ids, image_ids, texts
 
 
-_SAVE_BATCH = 4096  # lines formatted, then encoded and written at once
+_SAVE_BATCH = 4096  # lines formatted, then written at once
 
 
 def save_captions(columns, path):
@@ -350,8 +349,8 @@ def save_captions(columns, path):
     with open(path, "wb") as fh:
         while batch := list(islice(rows, _SAVE_BATCH)):
             lines = [
-                '{"id": %s, "image_id": %s, "text": %s}\n'
-                % (_json_ascii(cid), _json_ascii(image_id), _json_ascii(text))
+                b'{"id": %s, "image_id": %s, "text": %s}\n'
+                % (_json_str(cid), _json_str(image_id), _json_str(text))
                 for cid, image_id, text in batch
             ]
-            fh.write("".join(lines).encode("ascii"))
+            fh.write(b"".join(lines))

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import eq
 
 import numpy as np
 
@@ -91,33 +93,29 @@ def metric_curve(results, k_max, labels=None, truth=None):
     if not results:
         raise DataError("no retrieval results to score")
     deltas = hits = None
+    lengths = np.array([min(len(r.ranked), k_max) for r in results])
+    # A boolean mask assigns in row-major order: each row's ranked prefix.
+    prefix = np.arange(k_max) < lengths[:, None]
+    ranked = [image_id for r in results for image_id, _ in r.ranked[:k_max]]
     if labels is not None:
-        lengths = np.array([min(len(r.ranked), k_max) for r in results])
-        ranked = (image_id for r in results for image_id, _ in r.ranked[:k_max])
-        try:
-            flat = np.fromiter(
-                (labels[image_id].code for image_id in ranked), dtype=np.int8, count=lengths.sum()
-            )
-        except KeyError as exc:
-            raise DataError(f"retrieved image {exc.args[0]!r} has no gender label") from None
         codes = np.zeros((len(results), k_max), dtype=np.int8)
-        # A boolean mask assigns in row-major order: each row's ranked prefix.
-        codes[np.arange(k_max) < lengths[:, None]] = flat
+        codes[prefix] = gender_codes(ranked, labels)
         n_male = np.cumsum(codes == 1, axis=1)
         n_female = np.cumsum(codes == -1, axis=1)
         gendered = n_male + n_female
         # Integer counts divided as floats: the same value as Python's int / int.
         deltas = np.where(gendered > 0, (n_male - n_female) / np.maximum(gendered, 1), 0.0)
     if truth is not None:
-        hits = np.zeros((len(results), k_max), dtype=bool)
-        for q, r in enumerate(results):
-            if r.text_id not in truth:
-                raise DataError(f"text {r.text_id!r} has no ground-truth image")
-            want = truth[r.text_id]
-            for rank, (image_id, _) in enumerate(r.ranked[:k_max]):
-                if image_id == want:
-                    hits[q, rank:] = True
-                    break
+        try:
+            wants = [truth[r.text_id] for r in results]
+        except KeyError as exc:
+            raise DataError(f"text {exc.args[0]!r} has no ground-truth image") from None
+        # Each ranked id against its query's truth, compared as Python
+        # strings: numpy's string arrays drop trailing NULs ("a\x00" == "a").
+        per_entry = chain.from_iterable(map(repeat, wants, lengths.tolist()))
+        found = np.zeros((len(results), k_max), dtype=bool)
+        found[prefix] = list(map(eq, ranked, per_entry))
+        hits = np.logical_or.accumulate(found, axis=1)
     return MetricCurve(text_ids=[r.text_id for r in results], deltas=deltas, hits=hits)
 
 

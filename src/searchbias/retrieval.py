@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataError
+from .core import DataError, EmbeddingTable
 
 # A block of queries holds at most the larger of _BLOCK_BYTES and a quarter
 # of the float32 unit image table in float32 scores, so its memory stays a
@@ -129,7 +129,8 @@ def _margin(dim):
 
 
 def _rank_block(queries, qnorms, images, inorms, units, k):
-    """Top-k (image id, score) lists for a block of queries, by (-score, row)."""
+    """The top k of each query in a block, by (-score, image row): its image
+    rows and scores, two (queries, min(k, N)) arrays."""
     vectors = images.vectors
     n = vectors.shape[0]
     # Unit vectors by division, one rounding per component. Scaling a vector
@@ -171,22 +172,43 @@ def _rank_block(queries, qnorms, images, inorms, units, k):
     order = np.lexsort((-exact, qrow))
     starts = np.searchsorted(qrow, np.arange(len(queries)))
     keep = order[starts[:, None] + np.arange(k)]
-    ids = images.ids
-    rows, scores = irow[keep].tolist(), exact[keep].tolist()
-    return [[(ids[i], s) for i, s in zip(r, sc)] for r, sc in zip(rows, scores)]
+    return irow[keep], exact[keep]
 
 
-def _rank(queries, images, k, threads=1, query_ids=None):
-    """Ranked (image id, score) lists for every row of `queries`, in row order."""
+def retrieve_topk(query, images, k, text_id="query"):
+    """Exhaustively score `query` against every image and keep the top k.
+
+    `retrieve_all` on a one-row text table: ties are broken by image file
+    order (earlier row wins), and `text_id` must be a non-empty string.
+    Returns min(k, len(images)) entries.
+    """
+    query = np.asarray(query, dtype=np.float64)
+    if query.ndim != 1 or query.shape[0] != images.dim:
+        raise DataError(f"query dim {query.shape} does not match image dim {images.dim}")
+    if not query.any():
+        raise DataError("zero query vector")
+    return retrieve_all(EmbeddingTable([text_id], query[None, :]), images, k)[0]
+
+
+def retrieve_all(texts, images, k, threads=1):
+    """Rank the images for every text, preserving text file order.
+
+    `threads` > 1 spreads query blocks over a thread pool. Each text gets
+    the same bytes whatever the thread count and whatever other texts
+    share the table.
+    """
+    if texts.dim != images.dim:
+        raise DataError(f"text dim {texts.dim} does not match image dim {images.dim}")
     if k < 1:
         raise DataError("k must be >= 1")
+    if len(texts) == 0:
+        return []
     if len(images) == 0:
         raise DataError("cannot retrieve from an empty image table")
-    vectors = images.vectors
+    queries, vectors = texts.vectors, images.vectors
     inorms = row_norms(vectors, images.ids)
-    qnorms = row_norms(queries, query_ids)
-    if not np.all(qnorms > 0.0):
-        raise DataError("zero query vector")
+    # The table refuses all-zero rows, and a nonzero row's norm is positive.
+    qnorms = row_norms(queries, texts.ids)
     # The float32 unit rows (N x dim x 4 bytes) come from the kernel's own
     # float64 division, rounded once more; no float64 copy is made.
     units = np.empty(vectors.shape, dtype=np.float32)
@@ -205,35 +227,11 @@ def _rank(queries, images, k, threads=1, query_ids=None):
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             blocks = list(pool.map(block, starts))
-    return [ranked for part in blocks for ranked in part]
-
-
-def retrieve_topk(query, images, k, text_id="query"):
-    """Exhaustively score `query` against every image and keep the top k.
-
-    Ties are broken by image file order (earlier row wins). Returns
-    min(k, len(images)) entries, the same bytes `retrieve_all` gives this query.
-    """
-    query = np.asarray(query, dtype=np.float64)
-    if query.ndim != 1 or query.shape[0] != images.dim:
-        raise DataError(f"query dim {query.shape} does not match image dim {images.dim}")
-    if not np.all(np.isfinite(query)):
-        raise DataError("non-finite query vector")
-    (ranked,) = _rank(query[None, :], images, k, query_ids=[text_id])
-    return RetrievalResult(text_id=text_id, ranked=ranked)
-
-
-def retrieve_all(texts, images, k, threads=1):
-    """Rank the images for every text, preserving text file order.
-
-    `threads` > 1 spreads query blocks over a thread pool. Each text gets
-    exactly the bytes `retrieve_topk` gives it, whatever the thread count.
-    """
-    if texts.dim != images.dim:
-        raise DataError(f"text dim {texts.dim} does not match image dim {images.dim}")
-    if k < 1:
-        raise DataError("k must be >= 1")
-    if len(texts) == 0:
-        return []
-    ranked = _rank(texts.vectors, images, k, threads=threads, query_ids=texts.ids)
+    # A block at a time, so the Python ints and floats of every query never coexist.
+    ids = images.ids
+    ranked = (
+        [(ids[i], s) for i, s in zip(r, sc)]
+        for block_rows, block_scores in blocks
+        for r, sc in zip(block_rows.tolist(), block_scores.tolist())
+    )
     return [RetrievalResult(text_id=tid, ranked=r) for tid, r in zip(texts.ids, ranked)]

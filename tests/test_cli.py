@@ -816,6 +816,12 @@ def test_warm_evaluate_hashes_each_table_once(data_dir, tmp_path, monkeypatch):
         (["sweep-alpha", "--val-frac", "1"], "val_frac must be in [0, 1)"),
         (["sweep-m", "--m-list=-1,2"], "--m-list needs m values >= 0"),
         (["sweep-m", "--m-list", ","], "--m-list needs m values >= 0"),
+        (["sweep-alpha", "--alphas", "0,2"], "alpha must be in [0, 1]"),
+        (["sweep-alpha", "--batch-size", "2"], "batch_size must be >= 4"),
+        (["train", "--gamma", "0"], "gamma must be finite and > 0"),
+        (["train", "--val-frac", "1"], "val_frac must be in [0, 1)"),
+        (["evaluate", "--threads", "0"], "threads must be >= 1"),
+        (["train", "--threads=-3"], "threads must be >= 1"),
     ],
 )
 def test_flags_are_checked_before_any_input_is_read(data_dir, tmp_path, capsys, monkeypatch, argv, message):

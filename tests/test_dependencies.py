@@ -57,3 +57,18 @@ def test_no_module_imports_a_name_it_never_uses():
         if path.name != "__init__.py" and (names := unused_top_level_imports(path))
     }
     assert unused == {}
+
+
+def test_init_exports_exactly_the_names_it_imports_in_sorted_order():
+    import searchbias
+
+    path = Path(searchbias.__file__)
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+    assert searchbias.__all__ == sorted(searchbias.__all__)
+    assert sorted(imported) == searchbias.__all__

@@ -130,6 +130,28 @@ def test_oracle_equivalence_random_configs():
         ) <= 1e-12
 
 
+def test_hits_compare_ids_as_python_strings():
+    """Ragged rankings, a truth outside its ranking, duplicate ids and ids that
+    differ only by a trailing NUL, which numpy's string arrays would drop."""
+    rank_lists = [
+        ["a", "a\x00"],
+        ["x\x00", "x", "y"],
+        ["b"],
+        ["c", "d", "c", "e"],
+        ["f", "g", "h"],
+        [],
+    ]
+    truths = ["a\x00", "x", "z", "c", "h", "f"]
+    results = [result(f"q{q}", ids) for q, ids in enumerate(rank_lists)]
+    truth = {f"q{q}": want for q, want in enumerate(truths)}
+    for k in range(1, 6):
+        got = recall_at_k(results, truth, k).recall_at_k
+        assert got == oracle_recall(rank_lists, truths, k)
+    nul = [result("t", ["a", "a\x00"])]
+    assert recall_at_k(nul, {"t": "a\x00"}, 1).recall_at_k == 0.0
+    assert recall_at_k(nul, {"t": "a\x00"}, 2).recall_at_k == 1.0
+
+
 def test_antisymmetry_under_label_swap():
     rng = np.random.default_rng(9)
     gs = [[M, F, N][int(g)] for g in rng.integers(0, 3, 30)]

@@ -162,6 +162,10 @@ def test_retrieval_validation():
         retrieve_topk([1.0], images, 1)
     with pytest.raises(DataError):
         retrieve_topk([1.0, 0.0], images, 0)
+    with pytest.raises(DataError, match="does not match image dim"):
+        retrieve_topk(1.0, images, 1)
+    with pytest.raises(DataError, match="must be a non-empty string"):
+        retrieve_topk([1.0, 0.0], images, 1, text_id="")
 
 
 def _check_settings(monkeypatch, texts, images, k, expect):
