@@ -24,18 +24,6 @@ class UndefinedBiasError(DataError):
     """An occupation term has no Male or no Female image to compare against."""
 
 
-def delta_k(result, labels, k=None):
-    """Per-query gender skew of the top-k retrieved images.
-
-    Counts Male and Female labels among the first k entries of `result`
-    (all entries when k is None) and returns their normalized difference,
-    or 0.0 when neither gender appears.
-    """
-    if k is None:
-        k = max(1, len(result.ranked))
-    return metric_curve([result], k, labels=labels).deltas[0, k - 1].item()
-
-
 @dataclass
 class BiasReport:
     k: int
@@ -59,7 +47,7 @@ class RecallReport:
 class MetricCurve:
     """Per-query gender skew and ground-truth hits at every cutoff k = 1..k_max.
 
-    deltas[q, k - 1] is delta_k of the q-th result at cutoff k; hits[q, k - 1]
+    deltas[q, k - 1] is the q-th result's skew at cutoff k; hits[q, k - 1]
     says whether its ground-truth image is among its first k. Either is None
     when the curve was built without the map it needs.
     """
@@ -142,26 +130,14 @@ def _class_means(images, labels):
     return (weights @ images.vectors) / counts[:, None]
 
 
-def _gap(term_vector, means, term_id="term"):
+def _gap(term_vector, means, term_id):
+    """Mean cosine of one term vector to the Male images minus that to the
+    Female images: its unit vector dotted with each class's mean unit row."""
     term = np.asarray(term_vector, dtype=np.float64)
     if term.shape != (means.shape[1],):
         raise DataError(f"term vector shape {term.shape} does not match image dim {means.shape[1]}")
-    norm = row_norms(term[None, :], [term_id])[0]
-    if norm == 0.0:
-        raise DataError("occupation bias undefined for a zero term vector")
-    unit = term / norm
+    unit = term / row_norms(term[None, :], [term_id])[0]
     return float(unit @ means[0]) - float(unit @ means[1])
-
-
-def occupation_bias(term_vector, images, labels):
-    """Similarity gap of one query vector toward Male versus Female images.
-
-    Returns mean cosine over Male-labeled images minus mean cosine over
-    Female-labeled images, computed as the unit term vector dotted with the
-    mean unit image row of each class. Raises UndefinedBiasError when either
-    side is empty, so callers can skip the term.
-    """
-    return _gap(term_vector, _class_means(images, labels))
 
 
 @dataclass

@@ -193,14 +193,16 @@ def retrieve_topk(query, images, k, text_id="query"):
 def retrieve_all(texts, images, k, threads=1):
     """Rank the images for every text, preserving text file order.
 
-    `threads` > 1 spreads query blocks over a thread pool. Each text gets
-    the same bytes whatever the thread count and whatever other texts
-    share the table.
+    `threads` must be at least 1; more spread query blocks over a thread
+    pool. Each text gets the same bytes whatever the thread count and
+    whatever other texts share the table.
     """
     if texts.dim != images.dim:
         raise DataError(f"text dim {texts.dim} does not match image dim {images.dim}")
     if k < 1:
         raise DataError("k must be >= 1")
+    if threads < 1:
+        raise DataError("threads must be >= 1")
     if len(texts) == 0:
         return []
     if len(images) == 0:
@@ -222,7 +224,7 @@ def retrieve_all(texts, images, k, threads=1):
             queries[lo : lo + rows], qnorms[lo : lo + rows], images, inorms, units, k
         )
 
-    if threads <= 1 or len(starts) < 2:
+    if threads == 1 or len(starts) < 2:
         blocks = [block(lo) for lo in starts]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -206,24 +206,31 @@ def _similarity(batch, w_img, w_txt):
 
 
 class _Objective(NamedTuple):
+    """Per-run (R,) losses and (R, emb, d) gradients; from `objective`, one
+    run's floats and (emb, d) gradients."""
+
     loss: np.ndarray
     l_it: np.ndarray
     l_ti: np.ndarray
     l_fair: np.ndarray
-    g: np.ndarray
+    d_img: np.ndarray
+    d_txt: np.ndarray
 
 
-def _objective(batch, s, gamma, alphas, rng=None, mc_negatives=False):
-    """Every term of the blended objective for a stack of R runs.
+def _stacked_objective(batch, w_img, w_txt, gamma, alphas, rng=None, mc_negatives=False):
+    """Every term of the blended objective, and its gradients, for a stack of
+    R runs' encoder matrices w_img, w_txt of shape (R, emb, d).
 
-    s[r, i, j] is run r's cosine of image i and text j, and alphas[r] its
-    fair weight. Returns per-run arrays of the three losses and of their blend
-    l_it + alpha * l_fair + (1 - alpha) * l_ti, and the stack g whose entry
-    g[r, i, j] is the coefficient of s[r, i, j] in run r's blend. A pair's own
-    image (by id) is never a negative. A run at alpha 0 reports l_fair 0.0;
-    with no alpha > 0 the fair term is not computed. The fair negatives depend
-    only on the batch, so in MC mode one draw serves every run.
+    alphas[r] is run r's fair weight. Returns per-run arrays of the three
+    losses and of their blend l_it + alpha * l_fair + (1 - alpha) * l_ti, and
+    the blend's analytic gradients w.r.t. w_img and w_txt. A pair's own image
+    (by id) is never a negative. A run at alpha 0 reports l_fair 0.0; with no
+    alpha > 0 the fair term is not computed and nothing is drawn. The fair
+    negatives depend only on the batch, so in MC mode one draw serves every
+    run. Hinge kinks take subgradient 0; hardest-negative choices are held
+    fixed, which is exact away from argmax ties.
     """
+    s, ah, bh, na, nb = _similarity(batch, w_img, w_txt)
     runs, n = s.shape[0], len(batch)
     cols = np.arange(n)
     # Flat indices into s and g: entry (r, i, j) is r * n * n + i * n + j.
@@ -283,56 +290,18 @@ def _objective(batch, s, gamma, alphas, rng=None, mc_negatives=False):
     else:
         g = np.zeros_like(s)
 
-    # g: fair weights, then the hardest negatives, then each positive pair,
-    # whose coefficient is minus the weight of its negatives. Inactive terms
-    # add +0.0, which leaves every (non-negative) coefficient unchanged.
+    # g[r, i, j] is the coefficient of s[r, i, j] in run r's blend: fair
+    # weights, then the hardest negatives, then each positive pair, whose
+    # coefficient is minus the weight of its negatives. Inactive terms add
+    # +0.0, which leaves every (non-negative) coefficient unchanged.
     g_flat = g.reshape(-1)
     g_flat[ti_at] += np.where(ti_act, std_weight, 0.0)
     diag = -(it_act + g.sum(axis=1))
     g_flat[it_at] += it_act
     g_flat[base + cols * (n + 1)] = diag
     loss = l_it + alphas * l_fair + (1.0 - alphas) * l_ti
-    return _Objective(loss, l_it, l_ti, l_fair, g)
 
-
-def _one_run(batch, encoders, gamma, alpha, rng=None, mc_negatives=False):
-    """The objective of one run: the R = 1 case of the stacked objective."""
-    s = _similarity(batch, encoders.w_img[None], encoders.w_txt[None])[0]
-    obj = _objective(batch, s, gamma, np.array([alpha]), rng, mc_negatives)
-    return _Objective(*(float(term[0]) for term in obj[:4]), obj.g[0])
-
-
-def triplet_loss_ti(batch, encoders, gamma):
-    """Text-to-image hinge loss with the hardest in-batch negative image."""
-    return _one_run(batch, encoders, gamma, 0.0).l_ti
-
-
-def triplet_loss_it(batch, encoders, gamma):
-    """Image-to-text hinge loss with the hardest in-batch negative text."""
-    return _one_run(batch, encoders, gamma, 0.0).l_it
-
-
-def fair_loss_ti(batch, encoders, gamma, rng=None, mc_negatives=False):
-    """Text-to-image loss with gender-fair negatives for neutral queries."""
-    return _one_run(batch, encoders, gamma, 1.0, rng, mc_negatives).l_fair
-
-
-def total_loss(batch, encoders, cfg, rng=None):
-    """Image-to-text loss plus the alpha blend of fair and standard t-to-i losses."""
-    return _one_run(batch, encoders, cfg.gamma, cfg.alpha, rng, cfg.mc_negatives).loss
-
-
-def _stacked_loss_and_grad(batch, w_img, w_txt, gamma, alphas, rng=None, mc_negatives=False):
-    """Per-run total losses and their analytic gradients w.r.t. a stack of
-    encoder matrices w_img, w_txt of shape (R, emb, d).
-
-    Backpropagates the coefficients g of `_objective` through the cosine in
-    closed form. Hinge kinks take subgradient 0; hardest-negative choices are
-    held fixed, which is exact away from argmax ties.
-    """
-    s, ah, bh, na, nb = _similarity(batch, w_img, w_txt)
-    obj = _objective(batch, s, gamma, alphas, rng, mc_negatives)
-    g = obj.g
+    # Backpropagate g through the cosine in closed form:
     # d cos(a_i, b_j) / d a_i = (bh_j - S_ij ah_i) / |a_i|, and symmetrically.
     gs = g * s
     u = g @ bh
@@ -343,16 +312,22 @@ def _stacked_loss_and_grad(batch, w_img, w_txt, gamma, alphas, rng=None, mc_nega
     w /= nb[:, :, None]
     d_img = u.transpose(0, 2, 1) @ batch.image_vecs
     d_txt = w.transpose(0, 2, 1) @ batch.text_vecs
-    return obj.loss, d_img, d_txt
+    return _Objective(loss, l_it, l_ti, l_fair, d_img, d_txt)
 
 
-def _loss_and_grad(batch, encoders, cfg, rng=None):
-    """Total loss and its gradient w.r.t. both encoder matrices, for one run."""
-    loss, d_img, d_txt = _stacked_loss_and_grad(
+def objective(batch, encoders, cfg, rng=None):
+    """The blended objective of one run: the R = 1 case of the stacked one.
+
+    Returns `loss`, `l_it`, `l_ti` and `l_fair` as floats, and `d_img` and
+    `d_txt`, the gradients of `loss` w.r.t. `encoders.w_img` and `w_txt`.
+    Uses `cfg`'s gamma, alpha and mc_negatives; MC mode needs `rng`. At alpha
+    0, `l_fair` is 0.0 and nothing is drawn.
+    """
+    obj = _stacked_objective(
         batch, encoders.w_img[None], encoders.w_txt[None], cfg.gamma,
         np.array([cfg.alpha]), rng, cfg.mc_negatives,
     )
-    return float(loss[0]), d_img[0], d_txt[0]
+    return _Objective(*(float(term[0]) for term in obj[:4]), obj.d_img[0], obj.d_txt[0])
 
 
 def _build_pairs(dataset, text_labels=None):
@@ -474,7 +449,7 @@ def train_alphas(dataset, cfgs, text_labels=None, val_frac=0.1, on_epoch=None):
                 genders=genders[sel],
                 neutral_query=neutral[sel],
             )
-            losses, d_img, d_txt = _stacked_loss_and_grad(
+            losses, _, _, _, d_img, d_txt = _stacked_objective(
                 batch, w_img, w_txt, cfg.gamma, alphas, neg_rng, cfg.mc_negatives
             )
             loss_sum += losses

@@ -29,11 +29,8 @@ from searchbias.trainer import (
     LinearEncoders,
     TrainerConfig,
     TripletBatch,
-    _loss_and_grad,
-    total_loss,
+    objective,
     train,
-    triplet_loss_it,
-    triplet_loss_ti,
 )
 
 M, F, N = GenderLabel.MALE, GenderLabel.FEMALE, GenderLabel.NEUTRAL
@@ -239,9 +236,9 @@ def test_criterion_6_gradient_check():
         batch, enc = random_batch_and_encoders(100 + point)
         for alpha in (0.0, 0.4, 1.0):
             cfg = TrainerConfig(gamma=0.3, alpha=alpha, epochs=1)
-            _, d_img, d_txt = _loss_and_grad(batch, enc, cfg)
+            got = objective(batch, enc, cfg)
             rng = np.random.default_rng(point)
-            for grad, attr in ((d_img, "w_img"), (d_txt, "w_txt")):
+            for grad, attr in ((got.d_img, "w_img"), (got.d_txt, "w_txt")):
                 for _ in range(4):
                     r = int(rng.integers(grad.shape[0]))
                     c = int(rng.integers(grad.shape[1]))
@@ -250,8 +247,8 @@ def test_criterion_6_gradient_check():
                     plus[attr][r, c] += h
                     minus[attr][r, c] -= h
                     fd = (
-                        total_loss(batch, LinearEncoders(**plus), cfg)
-                        - total_loss(batch, LinearEncoders(**minus), cfg)
+                        objective(batch, LinearEncoders(**plus), cfg).loss
+                        - objective(batch, LinearEncoders(**minus), cfg).loss
                     ) / (2 * h)
                     denom = max(abs(fd), abs(grad[r, c]), 1e-6)
                     rel = abs(fd - grad[r, c]) / denom
@@ -300,9 +297,8 @@ def test_criterion_8_alpha_zero_bitwise_equivalence():
     for seed in range(20):
         batch, enc = random_batch_and_encoders(200 + seed)
         cfg = TrainerConfig(gamma=0.25, alpha=0.0, epochs=1)
-        blended = total_loss(batch, enc, cfg)
-        standard = triplet_loss_it(batch, enc, 0.25) + triplet_loss_ti(batch, enc, 0.25)
-        assert blended == standard
+        got = objective(batch, enc, cfg)
+        assert got.loss == got.l_it + got.l_ti
     report(8, "total loss at alpha=0 equals the standard objective bitwise on 20 batches")
 
 

@@ -1,6 +1,11 @@
-"""The package declares every third-party module it imports."""
+"""The package's dependencies, imports, exports and README names agree with its code."""
 
 import ast
+import builtins
+import dataclasses
+import importlib
+import inspect
+import pkgutil
 import re
 import sys
 from pathlib import Path
@@ -72,3 +77,52 @@ def test_init_exports_exactly_the_names_it_imports_in_sorted_order():
     ]
     assert searchbias.__all__ == sorted(searchbias.__all__)
     assert sorted(imported) == searchbias.__all__
+
+
+# Names the README shows in code spans that are not package attributes: file
+# keys and CSV columns, a test fixture, and the training callback.
+README_NAMES = {"image_id", "val_recall_at_10", "val_bias_at_10", "table_cache", "on_epoch"}
+
+
+def test_readme_names_only_what_the_package_defines():
+    """Every call (`f(...)`, `a.b(...)`) and bare snake_case name in a README
+    code span is an attribute of a searchbias module or class, a dataclass
+    field, a builtin, or one of README_NAMES."""
+    import searchbias
+
+    roots = {"searchbias": searchbias}
+    for info in pkgutil.iter_modules(searchbias.__path__):
+        roots[info.name] = importlib.import_module(f"searchbias.{info.name}")
+    classes = {
+        value
+        for module in list(roots.values())
+        for value in vars(module).values()
+        if inspect.isclass(value) and value.__module__.startswith("searchbias")
+    }
+    names = set(dir(builtins)) | README_NAMES
+    for module in roots.values():
+        names.update(vars(module))
+    for cls in classes:
+        roots[cls.__name__] = cls
+        names.update(dir(cls))
+        if dataclasses.is_dataclass(cls):
+            names.update(field.name for field in dataclasses.fields(cls))
+
+    def resolves(name):
+        head, *rest = name.split(".")
+        if not rest:
+            return head in names
+        obj = roots.get(head)
+        for part in rest:
+            obj = getattr(obj, part, None)
+        return obj is not None
+
+    text = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(encoding="utf-8"), flags=re.S)
+    unresolved = []
+    for span in re.findall(r"`([^`]+)`", text):
+        span = " ".join(span.split())  # a span may wrap across lines
+        call = re.fullmatch(r"([A-Za-z_][\w.]*)\(.*\)", span)
+        name = call.group(1) if call else span if re.fullmatch(r"[a-z][a-z0-9]*(_[a-z0-9]+)+", span) else None
+        if name is not None and not resolves(name):
+            unresolved.append(span)
+    assert unresolved == []

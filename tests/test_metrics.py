@@ -9,8 +9,7 @@ from searchbias.core import DataError, EmbeddingTable, GenderLabel
 from searchbias.metrics import (
     UndefinedBiasError,
     bias_at_k,
-    delta_k,
-    occupation_bias,
+    metric_curve,
     occupation_bias_report,
     recall_at_k,
 )
@@ -27,6 +26,16 @@ def from_genders(text_id, genders):
     """Build a result plus labels straight from a gender sequence."""
     ids = [f"{text_id}_img{j}" for j in range(len(genders))]
     return result(text_id, ids), dict(zip(ids, genders))
+
+
+def delta(res, labels, k):
+    """One result's skew at cutoff k, read from its metric curve."""
+    return metric_curve([res], k, labels).deltas[0, k - 1]
+
+
+def gap(term, images, labels):
+    """One term vector's occupation bias, from a one-term table."""
+    return occupation_bias_report(EmbeddingTable(["t"], [term]), images, labels).per_occupation["t"]
 
 
 def oracle_delta(genders, k):
@@ -48,25 +57,25 @@ def oracle_recall(rank_lists, truths, k):
 
 def test_delta_examples():
     res, labels = from_genders("t", [M, M, F, N])
-    assert delta_k(res, labels) == pytest.approx(1 / 3)
+    assert delta(res, labels, 4) == pytest.approx(1 / 3)
     res, labels = from_genders("t", [N, N, N])
-    assert delta_k(res, labels) == 0.0
+    assert delta(res, labels, 3) == 0.0
     res, labels = from_genders("t", [F, F, F])
-    assert delta_k(res, labels) == -1.0
+    assert delta(res, labels, 3) == -1.0
     res, labels = from_genders("t", [M, M])
-    assert delta_k(res, labels) == 1.0
+    assert delta(res, labels, 2) == 1.0
 
 
 def test_delta_truncates_to_k():
     res, labels = from_genders("t", [M, M, F, F])
-    assert delta_k(res, labels, k=2) == 1.0
-    assert delta_k(res, labels, k=4) == 0.0
+    assert delta(res, labels, 2) == 1.0
+    assert delta(res, labels, 4) == 0.0
 
 
 def test_delta_missing_label():
     res = result("t", ["unknown"])
     with pytest.raises(DataError, match="unknown"):
-        delta_k(res, {})
+        delta(res, {}, 1)
 
 
 def test_bias_examples():
@@ -158,7 +167,7 @@ def test_antisymmetry_under_label_swap():
     res, labels = from_genders("t", gs)
     swapped = {i: {M: F, F: M, N: N}[g] for i, g in labels.items()}
     for k in (1, 5, 17, 30):
-        assert delta_k(res, labels, k) == -delta_k(res, swapped, k)
+        assert delta(res, labels, k) == -delta(res, swapped, k)
 
 
 def test_query_order_invariance_and_truncation_consistency():
@@ -196,10 +205,10 @@ def test_occupation_bias_examples():
         ["m1", "f1", "n1"], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
     )
     labels = {"m1": M, "f1": F, "n1": N}
-    assert occupation_bias([1.0, 0.0], images, labels) == 1.0
+    assert gap([1.0, 0.0], images, labels) == 1.0
     # Symmetric about the term vector: zero bias.
     images2 = EmbeddingTable(["m1", "f1"], [[1.0, 1.0], [1.0, -1.0]])
-    assert occupation_bias([1.0, 0.0], images2, {"m1": M, "f1": F}) == pytest.approx(0.0, abs=1e-15)
+    assert gap([1.0, 0.0], images2, {"m1": M, "f1": F}) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_occupation_bias_matches_oracle():
@@ -207,7 +216,7 @@ def test_occupation_bias_matches_oracle():
     images = EmbeddingTable([f"i{j}" for j in range(40)], rng.standard_normal((40, 6)))
     labels = {f"i{j}": [M, F, N][int(g)] for j, g in enumerate(rng.integers(0, 3, 40))}
     term = rng.standard_normal(6)
-    got = occupation_bias(term, images, labels)
+    got = gap(term, images, labels)
     assert got == pytest.approx(occupation_oracle(term, images, labels), abs=1e-12)
 
 
@@ -223,17 +232,16 @@ def test_occupation_bias_with_norms_outside_float_range():
     vecs = rng.standard_normal((30, 5))
     labels = {iid: [M, F, N][j % 3] for j, iid in enumerate(ids)}
     term = rng.standard_normal(5)
-    base = occupation_bias(term, EmbeddingTable(ids, vecs), labels)
+    base = gap(term, EmbeddingTable(ids, vecs), labels)
     for scale in (2.0**700, 2.0**-700):
         scaled = vecs.copy()
         scaled[::2] *= scale
         images = EmbeddingTable(ids, scaled)
-        assert occupation_bias(term * scale, images, labels) == base
         terms = EmbeddingTable(["t"], [term * scale])
         assert occupation_bias_report(terms, images, labels).per_occupation == {"t": base}
     huge = EmbeddingTable(["m1", "f1"], [[1.5e308, 1.5e308], [0.0, 1.0]])
     with pytest.raises(DataError, match="'m1' has a norm outside the float64 range"):
-        occupation_bias([1.0, 0.0], huge, {"m1": M, "f1": F})
+        gap([1.0, 0.0], huge, {"m1": M, "f1": F})
     images = EmbeddingTable(["m1", "f1"], [[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(DataError, match="'nurse' has a norm"):
         occupation_bias_report(EmbeddingTable(["nurse"], [[1e-310, 0.0]]), images, {"m1": M, "f1": F})
@@ -242,7 +250,7 @@ def test_occupation_bias_with_norms_outside_float_range():
 def test_occupation_bias_undefined_class():
     images = EmbeddingTable(["m1"], [[1.0, 0.0]])
     with pytest.raises(UndefinedBiasError):
-        occupation_bias([1.0, 0.0], images, {"m1": M})
+        gap([1.0, 0.0], images, {"m1": M})
 
 
 def test_occupation_report_skips_and_warns():

@@ -166,6 +166,10 @@ def test_retrieval_validation():
         retrieve_topk(1.0, images, 1)
     with pytest.raises(DataError, match="must be a non-empty string"):
         retrieve_topk([1.0, 0.0], images, 1, text_id="")
+    for texts in (EmbeddingTable([], np.zeros((0, 2))), EmbeddingTable(["t"], [[1.0, 0.0]])):
+        for threads in (0, -3):
+            with pytest.raises(DataError, match="threads must be >= 1"):
+                retrieve_all(texts, images, 1, threads=threads)
 
 
 def _check_settings(monkeypatch, texts, images, k, expect):

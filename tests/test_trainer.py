@@ -15,12 +15,8 @@ from searchbias.trainer import (
     LinearEncoders,
     TrainerConfig,
     TripletBatch,
-    _loss_and_grad,
-    fair_loss_ti,
-    total_loss,
+    objective,
     train,
-    triplet_loss_it,
-    triplet_loss_ti,
 )
 
 M, F, N = GenderLabel.MALE, GenderLabel.FEMALE, GenderLabel.NEUTRAL
@@ -144,22 +140,20 @@ def test_losses_match_bruteforce_oracle():
     for seed, batch in enumerate(batches + fair_regime_batches()):
         enc = random_encoders(seed)
         l_it, l_ti, l_fair = oracle_losses(batch, enc, gamma)
-        assert triplet_loss_it(batch, enc, gamma) == pytest.approx(l_it, abs=1e-10)
-        assert triplet_loss_ti(batch, enc, gamma) == pytest.approx(l_ti, abs=1e-10)
-        assert fair_loss_ti(batch, enc, gamma) == pytest.approx(l_fair, abs=1e-10)
+        got = objective(batch, enc, TrainerConfig(gamma=gamma, alpha=1.0))
+        assert got.l_it == pytest.approx(l_it, abs=1e-10)
+        assert got.l_ti == pytest.approx(l_ti, abs=1e-10)
+        assert got.l_fair == pytest.approx(l_fair, abs=1e-10)
 
 
 def test_total_loss_is_the_documented_blend():
     batch = random_batch(3)
     enc = random_encoders(3)
+    terms = objective(batch, enc, TrainerConfig(gamma=0.3, alpha=1.0))
     for alpha in (0.0, 0.25, 0.4, 1.0):
         cfg = TrainerConfig(gamma=0.3, alpha=alpha, epochs=1)
-        expected = (
-            triplet_loss_it(batch, enc, 0.3)
-            + alpha * fair_loss_ti(batch, enc, 0.3)
-            + (1.0 - alpha) * triplet_loss_ti(batch, enc, 0.3)
-        )
-        assert total_loss(batch, enc, cfg) == expected
+        expected = terms.l_it + alpha * terms.l_fair + (1.0 - alpha) * terms.l_ti
+        assert objective(batch, enc, cfg).loss == expected
 
 
 def test_alpha_zero_is_bitwise_standard_objective():
@@ -167,8 +161,8 @@ def test_alpha_zero_is_bitwise_standard_objective():
         batch = random_batch(seed, n=9)
         enc = random_encoders(seed)
         cfg = TrainerConfig(gamma=0.2, alpha=0.0, epochs=1)
-        standard = triplet_loss_it(batch, enc, 0.2) + triplet_loss_ti(batch, enc, 0.2)
-        assert total_loss(batch, enc, cfg) == standard
+        got = objective(batch, enc, cfg)
+        assert got.loss == got.l_it + got.l_ti
 
 
 def test_loss_and_grad_loss_matches_total_loss():
@@ -176,8 +170,11 @@ def test_loss_and_grad_loss_matches_total_loss():
     enc = random_encoders(4)
     for alpha in (0.0, 0.4, 1.0):
         cfg = TrainerConfig(gamma=0.25, alpha=alpha, epochs=1)
-        loss, _, _ = _loss_and_grad(batch, enc, cfg)
-        assert loss == total_loss(batch, enc, cfg)
+        # The loss train_alphas sums is the one objective reports.
+        stacked = trainer._stacked_objective(
+            batch, enc.w_img[None], enc.w_txt[None], 0.25, np.array([alpha])
+        )
+        assert objective(batch, enc, cfg).loss == stacked.loss[0]
 
 
 def fd_check(batch, cfg, seed, n_coords=6, h=1e-6, tol=1e-3):
@@ -188,13 +185,13 @@ def fd_check(batch, cfg, seed, n_coords=6, h=1e-6, tol=1e-3):
         # one seed holds them fixed across evaluations.
         return np.random.default_rng(seed + 99)
 
-    _, d_img, d_txt = _loss_and_grad(batch, enc, cfg, neg_rng())
+    got = objective(batch, enc, cfg, neg_rng())
     rng = np.random.default_rng(seed + 7)
 
     def loss_at(wi, wt):
-        return total_loss(batch, LinearEncoders(w_img=wi, w_txt=wt), cfg, neg_rng())
+        return objective(batch, LinearEncoders(w_img=wi, w_txt=wt), cfg, neg_rng()).loss
 
-    for grad, which in ((d_img, "img"), (d_txt, "txt")):
+    for grad, which in ((got.d_img, "img"), (got.d_txt, "txt")):
         shape = enc.w_img.shape
         for _ in range(n_coords):
             r, c = int(rng.integers(shape[0])), int(rng.integers(shape[1]))
@@ -225,8 +222,8 @@ def test_mc_negatives_loss_and_gradients():
         cfg = TrainerConfig(gamma=0.3, alpha=alpha, epochs=1, mc_negatives=True)
         for seed, batch in enumerate(batches):
             enc = random_encoders(seed)
-            loss, _, _ = _loss_and_grad(batch, enc, cfg, np.random.default_rng(seed))
-            assert loss == total_loss(batch, enc, cfg, np.random.default_rng(seed))
+            loss = objective(batch, enc, cfg, np.random.default_rng(seed)).loss
+            assert loss == objective(batch, enc, cfg, np.random.default_rng(seed)).loss
             fd_check(batch, cfg, seed)
 
 
@@ -234,7 +231,7 @@ def test_loss_invariant_under_batch_permutation():
     enc = random_encoders(8)
     cfg = TrainerConfig(gamma=0.3, alpha=0.7, epochs=1)
     for batch in [random_batch(8, n=12)] + fair_regime_batches():
-        base = total_loss(batch, enc, cfg)
+        base = objective(batch, enc, cfg).loss
         perm = np.random.default_rng(9).permutation(len(batch))
         shuffled = TripletBatch(
             image_vecs=batch.image_vecs[perm],
@@ -243,7 +240,7 @@ def test_loss_invariant_under_batch_permutation():
             genders=batch.genders[perm],
             neutral_query=batch.neutral_query[perm],
         )
-        assert total_loss(shuffled, enc, cfg) == pytest.approx(base, abs=1e-12)
+        assert objective(shuffled, enc, cfg).loss == pytest.approx(base, abs=1e-12)
 
 
 def test_int_rows_and_string_ids_build_the_same_batch():
@@ -269,10 +266,10 @@ def test_int_rows_and_string_ids_build_the_same_batch():
     enc = random_encoders(21)
     for mc in (False, True):
         cfg = TrainerConfig(gamma=0.3, alpha=0.6, epochs=1, mc_negatives=mc)
-        loss_a, img_a, txt_a = _loss_and_grad(by_row, enc, cfg, np.random.default_rng(5))
-        loss_b, img_b, txt_b = _loss_and_grad(by_id, enc, cfg, np.random.default_rng(5))
-        assert loss_a == loss_b
-        assert img_a.tobytes() == img_b.tobytes() and txt_a.tobytes() == txt_b.tobytes()
+        a = objective(by_row, enc, cfg, np.random.default_rng(5))
+        b = objective(by_id, enc, cfg, np.random.default_rng(5))
+        assert a.loss == b.loss
+        assert a.d_img.tobytes() == b.d_img.tobytes() and a.d_txt.tobytes() == b.d_txt.tobytes()
 
 
 def test_own_image_never_a_negative():
@@ -292,7 +289,8 @@ def test_own_image_never_a_negative():
     want_ti = sum(max(0.0, gamma - s[j, j] + s[2, j]) for j in (0, 1)) + max(
         0.0, gamma - s[2, 2] + max(s[0, 2], s[1, 2])
     )
-    assert triplet_loss_ti(batch, enc, gamma) == pytest.approx(want_ti, abs=1e-12)
+    got = objective(batch, enc, TrainerConfig(gamma=gamma, alpha=0.0))
+    assert got.l_ti == pytest.approx(want_ti, abs=1e-12)
 
 
 def test_batch_of_one_has_no_negatives():
@@ -305,7 +303,7 @@ def test_batch_of_one_has_no_negatives():
     )
     enc = LinearEncoders(w_img=np.eye(2), w_txt=np.eye(2))
     with pytest.raises(DataError, match="size 1"):
-        triplet_loss_ti(batch, enc, 0.2)
+        objective(batch, enc, TrainerConfig(gamma=0.2, alpha=0.0))
 
 
 def test_all_same_image_batch_has_zero_loss():
@@ -319,7 +317,7 @@ def test_all_same_image_batch_has_zero_loss():
     )
     enc = LinearEncoders(w_img=np.eye(2), w_txt=np.eye(2))
     cfg = TrainerConfig(gamma=0.5, alpha=0.6, epochs=1)
-    assert total_loss(batch, enc, cfg) == 0.0
+    assert objective(batch, enc, cfg).loss == 0.0
 
 
 def test_fair_falls_back_without_both_partitions():
@@ -332,7 +330,8 @@ def test_fair_falls_back_without_both_partitions():
         neutral_query=[True] * 5,
     )
     enc = random_encoders(11, d=4)
-    assert fair_loss_ti(batch, enc, 0.3) == triplet_loss_ti(batch, enc, 0.3)
+    got = objective(batch, enc, TrainerConfig(gamma=0.3, alpha=1.0))
+    assert got.l_fair == got.l_ti
 
 
 def test_mc_negatives_deterministic_and_unbiased():
@@ -345,16 +344,15 @@ def test_mc_negatives_deterministic_and_unbiased():
         neutral_query=[True] * 10,
     )
     enc = random_encoders(13)
-    one = fair_loss_ti(batch, enc, 0.3, rng=np.random.default_rng(5), mc_negatives=True)
-    two = fair_loss_ti(batch, enc, 0.3, rng=np.random.default_rng(5), mc_negatives=True)
+    mc = TrainerConfig(gamma=0.3, alpha=1.0, mc_negatives=True)
+    one = objective(batch, enc, mc, rng=np.random.default_rng(5)).l_fair
+    two = objective(batch, enc, mc, rng=np.random.default_rng(5)).l_fair
     assert one == two
     with pytest.raises(DataError, match="rng"):
-        fair_loss_ti(batch, enc, 0.3, mc_negatives=True)
-    full = fair_loss_ti(batch, enc, 0.3)
+        objective(batch, enc, mc)
+    full = objective(batch, enc, TrainerConfig(gamma=0.3, alpha=1.0)).l_fair
     rng = np.random.default_rng(6)
-    draws = [
-        fair_loss_ti(batch, enc, 0.3, rng=rng, mc_negatives=True) for _ in range(4000)
-    ]
+    draws = [objective(batch, enc, mc, rng=rng).l_fair for _ in range(4000)]
     assert np.mean(draws) == pytest.approx(full, rel=0.05)
 
 
@@ -363,7 +361,7 @@ def test_zero_encoded_vector_is_a_runtime_error():
     dead = LinearEncoders(w_img=np.zeros((5, 6)), w_txt=np.zeros((5, 6)))
     cfg = TrainerConfig(epochs=1)
     with pytest.raises(RuntimeError):
-        total_loss(batch, dead, cfg)
+        objective(batch, dead, cfg)
 
 
 def test_trainer_config_validation_and_round_trip():
@@ -575,15 +573,16 @@ def test_stacked_objective_equals_each_run():
         w_img = np.stack([enc.w_img for enc in encs])
         w_txt = np.stack([enc.w_txt for enc in encs])
         for mc in (False, True):
-            losses, d_img, d_txt = trainer._stacked_loss_and_grad(
+            stacked = trainer._stacked_objective(
                 batch, w_img, w_txt, 0.3, np.array(alphas), np.random.default_rng(seed), mc
             )
             for r, (alpha, enc) in enumerate(zip(alphas, encs)):
                 cfg = TrainerConfig(gamma=0.3, alpha=alpha, epochs=1, mc_negatives=mc)
                 # An alpha-0 run draws nothing; the others draw what one shared draw does.
-                loss, img, txt = _loss_and_grad(batch, enc, cfg, np.random.default_rng(seed))
-                assert losses[r] == loss, (seed, mc, alpha)
-                assert d_img[r].tobytes() == img.tobytes() and d_txt[r].tobytes() == txt.tobytes()
+                got = objective(batch, enc, cfg, np.random.default_rng(seed))
+                assert [term[r] for term in stacked[:4]] == list(got[:4]), (seed, mc, alpha)
+                assert stacked.d_img[r].tobytes() == got.d_img.tobytes()
+                assert stacked.d_txt[r].tobytes() == got.d_txt.tobytes()
 
 
 def test_lockstep_training_equals_separate_runs():
