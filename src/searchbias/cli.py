@@ -34,6 +34,8 @@ from .clipper import ClipPlan, apply_clip, fit_clip_plan
 from .core import (
     DataError,
     Dataset,
+    _json_str,
+    _write_lines,
     load_embeddings,
     load_labels,
     load_truth,
@@ -148,10 +150,18 @@ def _load_inputs(args):
 
 
 def _save_results(results, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for res in results:
-            ranked = [{"image_id": iid, "score": score} for iid, score in res.ranked]
-            fh.write(json.dumps({"text_id": res.text_id, "ranked": ranked}) + "\n")
+    """Write a `RankedTable` as results.jsonl, each line the bytes `json.dumps`
+    gives {"text_id": ..., "ranked": [{"image_id": ..., "score": ...}, ...]}:
+    each image id is escaped once, each score written by its `repr`."""
+    image_ids = [_json_str(iid) for iid in results.image_ids]
+
+    def line(text_id, rows, scores):
+        ranked = b", ".join(
+            [b'{"image_id": %s, "score": %r}' % (image_ids[r], s) for r, s in zip(rows, scores)]
+        )
+        return b'{"text_id": %s, "ranked": [%s]}\n' % (_json_str(text_id), ranked)
+
+    _write_lines(path, map(line, results.text_ids, results.rows.tolist(), results.scores.tolist()))
 
 
 def cmd_synth(args):
@@ -227,21 +237,15 @@ def cmd_evaluate(args):
     results = retrieve_all(texts, images, k=k_max, threads=args.threads)
 
     curve = metric_curve(results, k_max, labels=labels, truth=truth)
-    metrics = []
-    curve_rows = []
-    for k in range(1, k_max + 1):
-        bias = curve.bias(k)
-        recall = curve.recall(k)
-        curve_rows.append([k, bias.bias_at_k, recall.recall_at_k])
-        if k in k_list:
-            metrics.append(
-                {
-                    "k": k,
-                    "bias_at_k": bias.bias_at_k,
-                    "male_share": bias.male_share,
-                    "recall_at_k": recall.recall_at_k,
-                }
-            )
+    curve_rows = [
+        [k, bias, recall]
+        for k, bias, recall in zip(range(1, k_max + 1), curve.biases(), curve.recalls())
+    ]
+    metrics = [
+        {"k": k, "bias_at_k": bias, "male_share": (1.0 + bias) / 2.0, "recall_at_k": recall}
+        for k, bias, recall in curve_rows
+        if k in k_list
+    ]
     report = {"n_queries": len(results), "metrics": metrics}
     _write_json(_out_path(args, "report.json"), report)
     _write_csv(_out_path(args, "curve.csv"), ["k", "bias_at_k", "recall_at_k"], curve_rows)

@@ -28,7 +28,9 @@ from array import array
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from json.encoder import encode_basestring_ascii
+from types import MappingProxyType
 
 import numpy as np
 import orjson
@@ -132,6 +134,11 @@ class EmbeddingTable:
             return self._vectors[self._index[id_]]
         except KeyError:
             raise DataError(f"unknown id {id_!r}") from None
+
+    @property
+    def index(self):
+        """The id -> row map, read-only."""
+        return MappingProxyType(self._index)
 
     def row_index(self, id_):
         try:
@@ -499,6 +506,16 @@ def _json_str(text):
     return encode_basestring_ascii(text).encode("ascii")
 
 
+_SAVE_BATCH = 4096  # lines formatted, then written at once
+
+
+def _write_lines(path, lines):
+    """Write an iterator of byte strings to `path`, joined _SAVE_BATCH at a time."""
+    with open(path, "wb") as fh:
+        while batch := list(islice(lines, _SAVE_BATCH)):
+            fh.write(b"".join(batch))
+
+
 def _json_floats(vec):
     """The bytes `json.dumps(vec.tolist())` writes for one row of floats.
 
@@ -552,9 +569,11 @@ def load_labels(path):
 
 
 def save_labels(labels, path):
-    with open(path, "wb") as fh:
-        for id_, label in labels.items():
-            fh.write(b'{"id": %s, "gender": %s}\n' % (_json_str(id_), _json_str(label.value)))
+    _write_lines(
+        path,
+        (b'{"id": %s, "gender": %s}\n' % (_json_str(id_), _json_str(label.value))
+         for id_, label in labels.items()),
+    )
 
 
 def load_truth(path):
@@ -573,9 +592,11 @@ def load_truth(path):
 
 
 def save_truth(truth, path):
-    with open(path, "wb") as fh:
-        for tid, iid in truth.items():
-            fh.write(b'{"text_id": %s, "image_id": %s}\n' % (_json_str(tid), _json_str(iid)))
+    _write_lines(
+        path,
+        (b'{"text_id": %s, "image_id": %s}\n' % (_json_str(tid), _json_str(iid))
+         for tid, iid in truth.items()),
+    )
 
 
 @dataclass

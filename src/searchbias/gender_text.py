@@ -16,10 +16,17 @@ import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice
 from types import MappingProxyType
 
-from .core import DataError, GenderLabel, _json_object, _json_str, _parse_jsonl, _read_utf8
+from .core import (
+    DataError,
+    GenderLabel,
+    _json_object,
+    _json_str,
+    _parse_jsonl,
+    _read_utf8,
+    _write_lines,
+)
 
 # A token is a run of ASCII letters. The group makes split() keep the words
 # between the gaps; findall() returns the words either way.
@@ -340,17 +347,11 @@ def load_captions(path):
     return ids, image_ids, texts
 
 
-_SAVE_BATCH = 4096  # lines formatted, then written at once
-
-
 def save_captions(columns, path):
     """Write the columns (ids, image_ids, texts) as caption JSONL lines."""
-    rows = zip(*columns, strict=True)
-    with open(path, "wb") as fh:
-        while batch := list(islice(rows, _SAVE_BATCH)):
-            lines = [
-                b'{"id": %s, "image_id": %s, "text": %s}\n'
-                % (_json_str(cid), _json_str(image_id), _json_str(text))
-                for cid, image_id, text in batch
-            ]
-            fh.write(b"".join(lines))
+    _write_lines(
+        path,
+        (b'{"id": %s, "image_id": %s, "text": %s}\n'
+         % (_json_str(cid), _json_str(image_id), _json_str(text))
+         for cid, image_id, text in zip(*columns, strict=True)),
+    )

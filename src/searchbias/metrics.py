@@ -10,14 +10,17 @@ all-female. The male share of gendered retrievals is (1 + bias) / 2.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from operator import eq
 
 import numpy as np
 
 from .core import DataError, gender_codes
-from .retrieval import row_norms
+from .retrieval import RankedTable, row_norms
+
+# The row a truth id not in the image table maps to: no ranked row and no
+# padding (-1) equals it, so it is never a hit.
+_NO_ROW = -2
 
 
 class UndefinedBiasError(DataError):
@@ -67,27 +70,51 @@ class MetricCurve:
         n = len(self.text_ids)
         return RecallReport(k=k, recall_at_k=int(self.hits[:, k - 1].sum()) / n, n_queries=n)
 
+    def biases(self):
+        """Bias@k at every cutoff k = 1..k_max, each the value `bias(k)` reports."""
+        n = len(self.text_ids)
+        return [math.fsum(column) / n for column in self.deltas.T.tolist()]
+
+    def recalls(self):
+        """Recall@k at every cutoff k = 1..k_max, each the value `recall(k)` reports."""
+        n = len(self.text_ids)
+        return [hits / n for hits in self.hits.sum(axis=0).tolist()]
+
 
 def metric_curve(results, k_max, labels=None, truth=None):
     """Build the deltas (given `labels`) and hits (given `truth`) up to k_max in one pass.
 
-    One Q x k_max matrix holds each result's label codes (+1 Male, -1 Female,
-    0 otherwise or past the end of a short ranking) and its cumulative sums
+    `results` is a `RankedTable` from `retrieve_all` or a list of
+    `RetrievalResult`s, which is first turned into one. One Q x k_max matrix
+    holds each query's label codes (+1 Male, -1 Female, 0 otherwise or past
+    the end of a short ranking), read by image row, and its cumulative sums
     count both genders at every cutoff at once. Hits mark every cutoff at or
-    past the rank of the query's ground-truth image.
+    past the rank of the query's ground-truth image, found by comparing image
+    rows: a truth id maps to its row through the image table's id index, and
+    one the table does not hold is never a hit. Each text id may appear once.
     """
     if k_max < 1:
         raise DataError("k must be >= 1")
     if not results:
         raise DataError("no retrieval results to score")
+    table = results if isinstance(results, RankedTable) else RankedTable.from_results(results)
+    text_ids = list(table.text_ids)
+    if len(set(text_ids)) < len(text_ids):
+        repeated = next(tid for tid, n in Counter(text_ids).items() if n > 1)
+        raise DataError(f"text {repeated!r} appears more than once in the results")
+    rows = table.rows[:, :k_max]
+    width = rows.shape[1]
     deltas = hits = None
-    lengths = np.array([min(len(r.ranked), k_max) for r in results])
-    # A boolean mask assigns in row-major order: each row's ranked prefix.
-    prefix = np.arange(k_max) < lengths[:, None]
-    ranked = [image_id for r in results for image_id, _ in r.ranked[:k_max]]
     if labels is not None:
-        codes = np.zeros((len(results), k_max), dtype=np.int8)
-        codes[prefix] = gender_codes(ranked, labels)
+        codes = np.zeros((len(text_ids), k_max), dtype=np.int8)
+        try:
+            # One code per image row, and a last 0 that the -1 padding reads.
+            codes[:, :width] = np.append(gender_codes(table.image_ids, labels), np.int8(0))[rows]
+        except DataError:
+            # Only ranked images need a label: name the first one without.
+            ranked = rows >= 0
+            ids = table.image_ids
+            codes[:, :width][ranked] = gender_codes([ids[r] for r in rows[ranked].tolist()], labels)
         n_male = np.cumsum(codes == 1, axis=1)
         n_female = np.cumsum(codes == -1, axis=1)
         gendered = n_male + n_female
@@ -95,16 +122,17 @@ def metric_curve(results, k_max, labels=None, truth=None):
         deltas = np.where(gendered > 0, (n_male - n_female) / np.maximum(gendered, 1), 0.0)
     if truth is not None:
         try:
-            wants = [truth[r.text_id] for r in results]
+            wants = [truth[tid] for tid in text_ids]
         except KeyError as exc:
             raise DataError(f"text {exc.args[0]!r} has no ground-truth image") from None
-        # Each ranked id against its query's truth, compared as Python
-        # strings: numpy's string arrays drop trailing NULs ("a\x00" == "a").
-        per_entry = chain.from_iterable(map(repeat, wants, lengths.tolist()))
-        found = np.zeros((len(results), k_max), dtype=bool)
-        found[prefix] = list(map(eq, ranked, per_entry))
+        # Ids are compared as Python strings, by the index's dict lookup:
+        # numpy's string arrays drop trailing NULs ("a\x00" == "a").
+        get = table.image_index.get
+        truth_rows = np.fromiter((get(iid, _NO_ROW) for iid in wants), np.int64, len(wants))
+        found = np.zeros((len(text_ids), k_max), dtype=bool)
+        np.equal(rows, truth_rows[:, None], out=found[:, :width])
         hits = np.logical_or.accumulate(found, axis=1)
-    return MetricCurve(text_ids=[r.text_id for r in results], deltas=deltas, hits=hits)
+    return MetricCurve(text_ids=text_ids, deltas=deltas, hits=hits)
 
 
 def bias_at_k(results, labels, k):

@@ -8,13 +8,16 @@ a proven rounding margin of the k-th. Only those candidates are re-scored in
 float64, each pair by the same fixed-order kernel (`_row_sums`), and ranked
 by (-score, image row). The float32 product only narrows the candidates; the
 emitted (id, score) pairs come from the kernel alone, so they do not depend
-on the block size, the thread count or the BLAS build.
+on the block size, the thread count or the BLAS build. The rankings come back
+as one `RankedTable` of image rows and scores; no per-entry Python object is
+made until a caller reads a query's `RetrievalResult`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,6 +47,54 @@ class RetrievalResult:
 
     def image_ids(self):
         return [iid for iid, _ in self.ranked]
+
+
+@dataclass(eq=False)
+class RankedTable(Sequence):
+    """Every query's ranking as two (queries, width) arrays.
+
+    rows[q, j] is the image row (in `image_ids`) of query q's (j + 1)-th best
+    image and scores[q, j] its score; a ranking shorter than the width is
+    padded with row -1. `image_index` maps an image id to its row. As a
+    sequence the table holds one `RetrievalResult` per query, in text order,
+    built when it is read; it compares equal to a list of the same results.
+    """
+
+    text_ids: Sequence
+    image_ids: Sequence = field(repr=False)
+    image_index: Mapping = field(repr=False)
+    rows: np.ndarray = field(repr=False)
+    scores: np.ndarray = field(repr=False)
+
+    @classmethod
+    def from_results(cls, results):
+        """The table of a list of `RetrievalResult`s: its images are their
+        distinct ids in order of first appearance."""
+        index = {}
+        width = max((len(r.ranked) for r in results), default=0)
+        rows = np.full((len(results), width), -1, dtype=np.int64)
+        scores = np.zeros(rows.shape)
+        for q, r in enumerate(results):
+            if r.ranked:
+                ids, ranked_scores = zip(*r.ranked)
+                rows[q, : len(ids)] = [index.setdefault(iid, len(index)) for iid in ids]
+                scores[q, : len(ids)] = ranked_scores
+        return cls([r.text_id for r in results], list(index), index, rows, scores)
+
+    def __len__(self):
+        return len(self.text_ids)
+
+    def __getitem__(self, q):
+        if isinstance(q, slice):
+            return [self[i] for i in range(*q.indices(len(self)))]
+        ids, row = self.image_ids, self.rows[q]
+        ranked = [(ids[r], s) for r, s in zip(row.tolist(), self.scores[q].tolist()) if r >= 0]
+        return RetrievalResult(text_id=self.text_ids[q], ranked=ranked)
+
+    def __eq__(self, other):
+        if isinstance(other, (RankedTable, list)):
+            return list(self) == list(other)
+        return NotImplemented
 
 
 def _tile_pairs(dim):
@@ -193,9 +244,10 @@ def retrieve_topk(query, images, k, text_id="query"):
 def retrieve_all(texts, images, k, threads=1):
     """Rank the images for every text, preserving text file order.
 
-    `threads` must be at least 1; more spread query blocks over a thread
-    pool. Each text gets the same bytes whatever the thread count and
-    whatever other texts share the table.
+    Returns a `RankedTable` of min(k, len(images)) columns over the image
+    table's rows. `threads` must be at least 1; more spread query blocks over
+    a thread pool. Each text gets the same bytes whatever the thread count
+    and whatever other texts share the table.
     """
     if texts.dim != images.dim:
         raise DataError(f"text dim {texts.dim} does not match image dim {images.dim}")
@@ -204,7 +256,11 @@ def retrieve_all(texts, images, k, threads=1):
     if threads < 1:
         raise DataError("threads must be >= 1")
     if len(texts) == 0:
-        return []
+        width = min(k, len(images))
+        return RankedTable(
+            texts.ids, images.ids, images.index,
+            np.empty((0, width), dtype=np.int64), np.empty((0, width)),
+        )
     if len(images) == 0:
         raise DataError("cannot retrieve from an empty image table")
     queries, vectors = texts.vectors, images.vectors
@@ -229,11 +285,5 @@ def retrieve_all(texts, images, k, threads=1):
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             blocks = list(pool.map(block, starts))
-    # A block at a time, so the Python ints and floats of every query never coexist.
-    ids = images.ids
-    ranked = (
-        [(ids[i], s) for i, s in zip(r, sc)]
-        for block_rows, block_scores in blocks
-        for r, sc in zip(block_rows.tolist(), block_scores.tolist())
-    )
-    return [RetrievalResult(text_id=tid, ranked=r) for tid, r in zip(texts.ids, ranked)]
+    rows, scores = (np.concatenate(parts) for parts in zip(*blocks))
+    return RankedTable(texts.ids, images.ids, images.index, rows, scores)

@@ -13,6 +13,7 @@ import pytest
 
 import searchbias.cli as cli
 import searchbias.core as core
+import searchbias.retrieval as retrieval
 import searchbias.trainer as trainer
 from searchbias.cli import main
 from searchbias.clipper import ClipPlan
@@ -502,6 +503,74 @@ def test_evaluate_outputs_are_pinned(tmp_path):
         "curve.csv": "43902693dfeb0cd9f1b7c995a91ab05c34a844c831c95955d23a9f6b4d769774",
         "report.json": "cb2dad1b4b2a22f5cb352a194f8a56e6fabaed255e2f0558a19b5ad4e1051a31",
     }
+
+
+def test_retrieve_outputs_are_pinned(tmp_path, monkeypatch):
+    """retrieve writes these exact bytes for k below and above the image count
+    (30), whatever the thread count and however the queries fall into blocks."""
+    data = _awkward_eval_inputs(tmp_path)[:4]
+    digests = {}
+    for blocks in ("default", "one row"):
+        if blocks == "one row":
+            monkeypatch.setattr(retrieval, "_BLOCK_BYTES", 1)
+            monkeypatch.setattr(retrieval, "_MIN_ROWS", 1)
+        for k in (7, 33):
+            for threads in (1, 3):
+                out = tmp_path / f"retrieve-{blocks}-{k}-{threads}"
+                assert main(["retrieve", *data, "-k", str(k), "--threads", str(threads),
+                             "--out-dir", str(out)]) == 0
+                digest = hashlib.sha256((out / "results.jsonl").read_bytes()).hexdigest()
+                digests.setdefault(k, set()).add(digest)
+    lines = (tmp_path / "retrieve-default-33-1" / "results.jsonl").read_text().splitlines()
+    assert [len(json.loads(line)["ranked"]) for line in lines] == [30] * 12
+    # Computed with the retrieval that built one (image_id, score) tuple per entry.
+    assert digests == {
+        7: {"b99bf8b34abe0786986f3a49e4afbbed749be835d9ac7654d414e985338847f8"},
+        33: {"75ad3709332dafe4276dd175ee0f0044e060697f2a2e236d36398aa82d05dff8"},
+    }
+
+
+def test_evaluate_above_the_image_count_is_pinned(tmp_path):
+    """evaluate --per-query with cutoffs past the image count (30) writes these
+    exact bytes: past it, no label counts and every hit stays where it was."""
+    out = tmp_path / "eval"
+    assert main(["evaluate", *_awkward_eval_inputs(tmp_path), "--k-list", "1,30,45",
+                 "--per-query", "--out-dir", str(out)]) == 0
+    with open(out / "curve.csv", encoding="utf-8", newline="") as fh:
+        curve = list(csv.reader(fh))[1:]
+    assert len(curve) == 45 and all(row[1:] == curve[29][1:] for row in curve[30:])
+    names = ["per_query.csv", "curve.csv", "report.json"]
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+    # Computed with the metric curve that flattened (image_id, score) tuples.
+    assert digests == {
+        "per_query.csv": "a25bcf22bfe1fee4e3335ce400ace60bad61697c14ac2d216f5a796efd448b90",
+        "curve.csv": "3b7ac8a4ca7edec10b55c2086cc7c6d8838f2a82a1bca57503eb838237de868e",
+        "report.json": "c722dd096d98ba167063c6613d9773eef3e2c6a848f1815f405b5938263afd24",
+    }
+
+
+def test_evaluate_counts_a_truth_image_missing_from_the_table_as_a_miss(data_dir, tmp_path):
+    """A truth id that names no image in --images is a miss, not an error."""
+    truth = tmp_path / "truth.jsonl"
+    lines = (data_dir / "truth.jsonl").read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    # The first query's truth names an image no table holds; the second's an
+    # id that differs from its true image only by a trailing NUL.
+    records[0]["image_id"] = "no such image"
+    records[1]["image_id"] += "\x00"
+    truth.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    args = dataset_args(data_dir)
+    args[args.index("--truth") + 1] = str(truth)
+    assert main(["evaluate", *args, "--k-list", "1,200,250", "--out-dir", str(tmp_path / "miss")]) == 0
+    assert main(["evaluate", *dataset_args(data_dir), "--k-list", "1,200,250",
+                 "--out-dir", str(tmp_path / "base")]) == 0
+    missed = json.loads((tmp_path / "miss" / "report.json").read_text())["metrics"]
+    base = json.loads((tmp_path / "base" / "report.json").read_text())["metrics"]
+    n = len(records)
+    # Every query's truth is among all 200 images; two of them now are not.
+    assert base[1]["recall_at_k"] == base[2]["recall_at_k"] == 1.0
+    assert [m["recall_at_k"] for m in missed[1:]] == [(n - 2) / n] * 2
+    assert [m["bias_at_k"] for m in missed] == [m["bias_at_k"] for m in base]
 
 
 def test_per_query_writer_matches_csv_writer_rows(tmp_path):

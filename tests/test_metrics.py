@@ -13,7 +13,7 @@ from searchbias.metrics import (
     occupation_bias_report,
     recall_at_k,
 )
-from searchbias.retrieval import RetrievalResult
+from searchbias.retrieval import RetrievalResult, retrieve_all
 
 M, F, N = GenderLabel.MALE, GenderLabel.FEMALE, GenderLabel.NEUTRAL
 
@@ -272,3 +272,66 @@ def test_occupation_report_skips_and_warns():
     ):
         with pytest.raises(DataError, match=f"^{missing};"):
             occupation_bias_report(terms, images, labels)
+
+
+def test_curve_of_a_ranked_table_equals_the_curve_of_its_results():
+    """metric_curve over retrieve_all's table and over the same rankings as a
+    list of RetrievalResults gives the same bytes, with cutoffs past the image
+    count, a truth id only a trailing NUL away from an image id, and truth ids
+    no image has."""
+    rng = np.random.default_rng(13)
+    ids = ["a", "a\x00"] + [f"i{j}" for j in range(7)]
+    images = EmbeddingTable(ids, rng.standard_normal((len(ids), 4)))
+    texts = EmbeddingTable([f"t{j}" for j in range(15)], rng.standard_normal((15, 4)))
+    labels = {iid: [M, F, N][j % 3] for j, iid in enumerate(ids)}
+    truth = {tid: (ids + ["missing", "a\x00\x00"])[j % 11] for j, tid in enumerate(texts.ids)}
+    n = len(ids)
+    for k in (1, 4, n, n + 3):
+        table = retrieve_all(texts, images, k)
+        rebuilt = [RetrievalResult(r.text_id, list(r.ranked)) for r in table]
+        for k_max in sorted({1, k, n + 5}):
+            got = metric_curve(table, k_max, labels, truth)
+            want = metric_curve(rebuilt, k_max, labels, truth)
+            assert got.text_ids == want.text_ids == list(texts.ids)
+            assert got.deltas.tobytes() == want.deltas.tobytes()
+            assert got.hits.tobytes() == want.hits.tobytes()
+            ranked = [r.image_ids() for r in rebuilt]
+            truths = [truth[t] for t in texts.ids]
+            for cut in range(1, k_max + 1):
+                assert got.recall(cut).recall_at_k == oracle_recall(ranked, truths, cut)
+
+
+def test_only_ranked_images_need_a_label():
+    """An image no query ranks may lack a label; the first ranked one without
+    a label is named, in query and rank order."""
+    images = EmbeddingTable(["m", "f", "u", "v"], [[1.0, 0.0], [0.9, 0.1], [-1.0, 0.0], [0.0, 1.0]])
+    texts = EmbeddingTable(["q1", "q2"], [[1.0, 0.05], [0.2, 1.0]])
+    table = retrieve_all(texts, images, 2)
+    assert [r.image_ids() for r in table] == [["m", "f"], ["v", "f"]]
+    labels = {"m": M, "f": F, "v": N}
+    assert metric_curve(table, 2, labels).deltas.tolist() == [[1.0, 0.0], [0.0, -1.0]]
+    for bad in ("f", "v"):
+        partial = {iid: g for iid, g in labels.items() if iid != bad}
+        with pytest.raises(DataError, match=f"image '{bad}' has no gender label"):
+            metric_curve(table, 2, partial)
+    with pytest.raises(DataError, match="image 'f' has no gender label"):
+        metric_curve(table, 2, {"m": M})
+    # q2 ranks v (row 3) before f (row 1).
+    with pytest.raises(DataError, match="image 'v' has no gender label"):
+        metric_curve(table[1:], 2, {"m": M})
+    with pytest.raises(DataError, match="image 'v' has no gender label"):
+        metric_curve(retrieve_all(EmbeddingTable(["q2"], [[0.2, 1.0]]), images, 2), 2, {"m": M})
+
+
+def test_repeated_text_id_is_refused():
+    """Bias@K keyed its per-query values by text id, so a repeated id dropped
+    rows from Bias@K but not from Recall@K; such results are refused."""
+    results = [result("q", ["m"]), result("q", ["f"])]
+    labels, truth = {"m": M, "f": F}, {"q": "m"}
+    for curve in (
+        lambda: metric_curve(results, 1, labels, truth),
+        lambda: bias_at_k(results, labels, 1),
+        lambda: recall_at_k(results, truth, 1),
+    ):
+        with pytest.raises(DataError, match="^text 'q' appears more than once in the results$"):
+            curve()

@@ -10,7 +10,7 @@ import pytest
 
 from searchbias import retrieval
 from searchbias.core import DataError, EmbeddingTable
-from searchbias.retrieval import retrieve_all, retrieve_topk
+from searchbias.retrieval import RankedTable, RetrievalResult, retrieve_all, retrieve_topk
 
 
 def oracle_topk(query, images, k):
@@ -333,3 +333,41 @@ def test_norm_that_is_not_a_normal_float_is_refused():
         retrieve_topk([1e-310, 0.0], images, 1, text_id="q")
     with pytest.raises(DataError, match="zero query vector"):
         retrieve_topk([0.0, 0.0], images, 1)
+
+
+def test_ranked_table_reads_as_the_list_of_its_results():
+    """retrieve_all's table holds image rows and scores; as a sequence it is
+    one RetrievalResult per query, equal to per-query retrieval."""
+    rng = np.random.default_rng(14)
+    images = EmbeddingTable([f"i{j}" for j in range(6)], rng.standard_normal((6, 3)))
+    texts = EmbeddingTable([f"t{j}" for j in range(4)], rng.standard_normal((4, 3)))
+    for k in (3, 6, 9):
+        table = retrieve_all(texts, images, k)
+        single = [retrieve_topk(texts.row(t), images, k, text_id=t) for t in texts.ids]
+        width = min(k, len(images))
+        assert table.rows.shape == table.scores.shape == (4, width)
+        assert table.rows.dtype == np.int64 and table.scores.dtype == np.float64
+        assert len(table) == 4 and table == single and list(table) == single
+        assert table[-1] == single[-1] and table[1:3] == single[1:3]
+        assert [[images.ids[r] for r in row] for row in table.rows.tolist()] == [
+            r.image_ids() for r in single
+        ]
+        assert table.scores.tolist() == [[s for _, s in r.ranked] for r in single]
+        with pytest.raises(IndexError):
+            table[4]
+    empty = retrieve_all(EmbeddingTable([], np.zeros((0, 3))), images, 9)
+    assert empty == [] and not empty and empty.rows.shape == (0, 6)
+
+
+def test_ranked_table_of_hand_built_results_pads_ragged_rows():
+    """A list of results becomes a table over its distinct ids, in order of
+    first appearance, with short rankings padded by row -1."""
+    ragged = [
+        RetrievalResult("a", [("x", 0.5), ("y", 0.25), ("x", -0.5)]),
+        RetrievalResult("b", []),
+        RetrievalResult("c", [("y\x00", 1.0)]),
+    ]
+    table = RankedTable.from_results(ragged)
+    assert table.image_ids == ["x", "y", "y\x00"]
+    assert table.rows.tolist() == [[0, 1, 0], [-1, -1, -1], [2, -1, -1]]
+    assert table == ragged and table[1].ranked == []
