@@ -10,7 +10,8 @@ bytes each input file gave its parser (`core.recording_inputs`), so no input
 is read again for it, and a pipe or FIFO is named by the bytes it delivered.
 A path read twice with different bytes in one run is an error.
 
-Outside the out-dir, embedding tables read from regular files are cached in
+Outside the out-dir, the JSONL inputs read from regular files (embedding
+tables, labels, truth and captions) are cached in
 $SEARCHBIAS_CACHE_DIR (default $XDG_CACHE_HOME/searchbias, or
 ~/.cache/searchbias if XDG_CACHE_HOME is not an absolute path; set it empty
 to turn the cache off), so a later command that reads the same bytes skips
@@ -120,17 +121,22 @@ def _write_per_query(path, text_ids, deltas):
 
     Each id is quoted once and each distinct delta formatted once, with the
     `repr` csv.writer uses for a float; deltas are told apart by their bits,
-    so -0.0 keeps its sign. Lines are written a query at a time.
+    so -0.0 keeps its sign. A query's lines are one list of the fields
+    [id, ",k,", delta, "\\n", ...], whose id and delta slots are refilled
+    for each query, joined and written at once.
     """
     bits = np.ascontiguousarray(deltas, dtype=np.float64).view(np.int64)
     distinct, index = np.unique(bits, return_inverse=True)
     formatted = [repr(delta) for delta in distinct.view(np.float64).tolist()]
-    cutoffs = [f",{k}," for k in range(1, bits.shape[1] + 1)]
+    width = bits.shape[1]
+    fields = [None, None, None, "\n"] * width
+    fields[1::4] = [f",{k}," for k in range(1, width + 1)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("text_id,k,delta\n")
         for text_id, row in zip(text_ids, index.reshape(bits.shape).tolist()):
-            quoted = _csv_field(text_id)
-            fh.write("".join([f"{quoted}{k}{formatted[i]}\n" for k, i in zip(cutoffs, row)]))
+            fields[::4] = [_csv_field(text_id)] * width
+            fields[2::4] = [formatted[i] for i in row]
+            fh.write("".join(fields))
 
 
 def _load_lexicon(path):

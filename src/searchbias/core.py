@@ -5,8 +5,8 @@ diffed, and produced by external encoders without this package installed. The
 other inputs (clip plans, lexicons, checkpoints) are one JSON object each, and
 both kinds decode through orjson with the same strict rules.
 
-Parsed embedding tables are also kept in a per-user binary cache keyed by the
-SHA-256 of the file's bytes, so a table read again by a later command skips
+What the JSONL loaders parse is also kept in a per-user cache keyed by the
+SHA-256 of the file's bytes, so an input read again by a later command skips
 the JSON decoding (see `load_embeddings`).
 
 Inside `recording_inputs`, every loader records the SHA-256 of the bytes it
@@ -223,7 +223,7 @@ def _json_object(text, what, keys):
 
 def _sha256(path):
     """The SHA-256 hex digest of the bytes of `path`, read in chunks: the
-    table cache's lookup key."""
+    cache's lookup key."""
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
@@ -252,16 +252,15 @@ class _HashingReader(io.RawIOBase):
         super().close()
 
 
-def _parse_jsonl(path, sha=None):
+def _parse_jsonl(path, sha):
     """Yield (line_number, parsed_object) for every non-empty line of the
-    file `path`, and record the SHA-256 of its bytes once all are read.
+    file `path`, feeding every byte read to `sha`, a SHA-256 hashlib object,
+    and record its digest once all are read.
 
-    Every byte read is also fed to `sha`, a hashlib object, if one is given.
     Lines are strict JSON (RFC 8259), decoded by orjson. Bytes that are not
     UTF-8 become lone surrogates, which orjson refuses, so they are reported
     as invalid JSON at their own line, in file order with every other error.
     """
-    sha = hashlib.sha256() if sha is None else sha
     raw = io.BufferedReader(_HashingReader(open(path, "rb", buffering=0), sha))
     with io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -294,15 +293,15 @@ def _check_rows(path, rows, linenos, ids):
         raise DataError(f"{path}, line {linenos[i]} (id {ids[i]!r}): {problem}")
 
 
-# The table cache never holds more than this many bytes of entries.
+# The cache never holds more than this many bytes of entries.
 _CACHE_CAP_BYTES = 1 << 30
-# Entries are named by the digest of their table file; `.tmp` files are
-# entries being written.
-_CACHE_FILE = re.compile(r"[0-9a-f]{64}\.table(\.[0-9a-z_]+\.tmp)?")
+# Entries are named by the digest of their input file and the kind of value
+# parsed from it; `.tmp` files are entries being written.
+_CACHE_FILE = re.compile(r"[0-9a-f]{64}\.(?:table|labels|truth|captions)(\.[0-9a-z_]+\.tmp)?")
 
 
 def _cache_dir():
-    """The table cache directory, or None if SEARCHBIAS_CACHE_DIR is set empty."""
+    """The cache directory, or None if SEARCHBIAS_CACHE_DIR is set empty."""
     path = os.environ.get("SEARCHBIAS_CACHE_DIR")
     if path is None:
         base = os.environ.get("XDG_CACHE_HOME", "")
@@ -318,16 +317,15 @@ def _private(st):
     return st.st_uid == os.getuid() and not st.st_mode & 0o022
 
 
-def _cached_table(cache, path, expected_dim):
-    """(table, digest): the table of the file `path` from the cache and the
-    SHA-256 of the file it was found under, or None if the cache holds no
-    usable entry.
+def _cached(cache, path, kind, read):
+    """(value, digest): the value `read(fh)` decodes from the cache entry of
+    kind `kind` for the file `path`, and the SHA-256 of the file it was found
+    under, or None if the cache holds no usable entry.
 
-    An entry is the float64 matrix in .npy form followed by the ids as one
-    JSON array, named by the SHA-256 of the file. It counts only if no other
-    user could have written it: the directory and the entry must be this
-    user's and writable by no one else. Anything unreadable or not exactly
-    that is a miss, and the table must pass every `EmbeddingTable` check again.
+    An entry is named by the SHA-256 of the file and its kind. It counts only
+    if no other user could have written it: the directory and the entry must
+    be this user's and writable by no one else. Anything unreadable, or that
+    `read` refuses by raising ValueError, LookupError or TypeError, is a miss.
     """
     try:
         dir_fd = os.open(cache, os.O_RDONLY | os.O_DIRECTORY)
@@ -337,50 +335,42 @@ def _cached_table(cache, path, expected_dim):
         if not _private(os.fstat(dir_fd)):
             return None
         digest = _sha256(path)
-        name = digest + ".table"
+        name = f"{digest}.{kind}"
         with open(name, "rb", opener=lambda file, flags: os.open(file, flags, dir_fd=dir_fd)) as fh:
             if not _private(os.fstat(fh.fileno())):
                 return None
-            vectors = np.lib.format.read_array(fh, allow_pickle=False)
-            ids = orjson.loads(fh.read())
-        if (
-            vectors.dtype != np.float64
-            or vectors.ndim != 2
-            or not vectors.flags.c_contiguous
-            or type(ids) is not list
-            or (expected_dim is not None and vectors.shape[1] != expected_dim)
-        ):
-            return None
-        table = EmbeddingTable(ids, vectors)
+            value = read(fh)
         # A hit makes the entry the most recently used.
         with suppress(OSError):
             os.utime(name, dir_fd=dir_fd)
-        return table, digest
-    except (OSError, ValueError):  # ValueError: a bad .npy header, orjson, DataError
+        return value, digest
+    # ValueError: a bad .npy header, orjson, DataError; the rest, a column
+    # entry's bad shape or unknown label.
+    except (OSError, ValueError, LookupError, TypeError):
         return None
     finally:
         os.close(dir_fd)
 
 
-def _store_table(cache, digest, table):
-    """Store `table` under `digest`, then evict the least recently used
-    entries until the cache is within its cap. The cache only saves time, so
-    an OSError ends the store or the eviction without a message, and nothing
-    is stored in a directory that other users may write to, or a table that
-    alone exceeds the cap, which would evict every entry and then itself."""
-    if table.vectors.nbytes > _CACHE_CAP_BYTES:
+def _store(cache, name, size, write):
+    """Store the entry `name`, `size` bytes that `write(fh)` writes, then
+    evict the least recently used entries until the cache is within its cap.
+    The cache only saves time, so an OSError ends the store or the eviction
+    without a message, and nothing is stored in a directory that other users
+    may write to, or an entry that alone exceeds the cap, which would evict
+    every entry and then itself."""
+    if size > _CACHE_CAP_BYTES:
         return
     try:
         os.makedirs(cache, mode=0o700, exist_ok=True)
         if not _private(os.stat(cache)):
             return
-        fd, tmp = tempfile.mkstemp(prefix=digest + ".table.", suffix=".tmp", dir=cache)
+        fd, tmp = tempfile.mkstemp(prefix=name + ".", suffix=".tmp", dir=cache)
         try:
             with os.fdopen(fd, "wb") as fh:
-                np.lib.format.write_array(fh, table.vectors, allow_pickle=False)
-                fh.write(orjson.dumps(table.ids))
+                write(fh)
             # Readers see the whole entry or none of it.
-            os.replace(tmp, os.path.join(cache, digest + ".table"))
+            os.replace(tmp, os.path.join(cache, name))
         except BaseException:
             with suppress(OSError):
                 os.unlink(tmp)
@@ -401,6 +391,60 @@ def _store_table(cache, digest, table):
         pass
 
 
+def _load_cached(path, kind, parse, read, entry):
+    """The value `parse(path, sha)` gives for the file `path`, or the same
+    value read from the cache (see `load_embeddings`).
+
+    `parse` feeds every byte it reads to `sha`, a hashlib object, and records
+    its digest. `read(fh)` decodes a binary file holding an entry of kind
+    `kind`, checking it as strictly as `parse` checks the input.
+    `entry(value)` is the (size, write) pair `_store` takes for the value's
+    entry, or None if the value is not to be stored.
+    """
+    cache = _cache_dir()
+    regular = False
+    if cache is not None:
+        with suppress(OSError):
+            # A pipe or other special file is read once, by the parse.
+            regular = stat.S_ISREG(os.stat(path).st_mode)
+    hit = _cached(cache, path, kind, read) if regular else None
+    if hit is not None:
+        value, digest = hit
+        _record(path, digest)
+        return value
+    sha = hashlib.sha256()
+    value = parse(path, sha)
+    stored = entry(value) if regular else None
+    # Stored under the digest of the bytes parsed, which are not the bytes
+    # hashed for the lookup if the file changed in between.
+    if stored is not None:
+        _store(cache, f"{sha.hexdigest()}.{kind}", *stored)
+    return value
+
+
+def _read_columns(fh, n):
+    """The `n` columns of a column entry: lists of equal length whose items
+    are all non-empty strings."""
+    columns = orjson.loads(fh.read())
+    if (
+        type(columns) is not list
+        or len(columns) != n
+        or any(type(column) is not list or len(column) != len(columns[0]) for column in columns)
+        or any(not set(map(type, column)) <= {str} or "" in column for column in columns)
+    ):
+        raise ValueError("not a column entry")
+    return columns
+
+
+def _column_entry(columns):
+    """The (size, write) pair of an entry holding `columns` as one JSON
+    array, or None if the columns are empty: an empty load is not stored."""
+    if not columns[0]:
+        return None
+    data = orjson.dumps(columns)
+    return len(data), lambda fh: fh.write(data)
+
+
 def load_embeddings(path, expected_dim=None):
     """Load an embedding table from JSONL.
 
@@ -409,31 +453,43 @@ def load_embeddings(path, expected_dim=None):
     given `expected_dim`, a header that names another dim is an error.
     Errors name the offending line and id; the first bad line is reported.
 
-    A regular file's table is cached under the SHA-256 of its bytes in
-    $SEARCHBIAS_CACHE_DIR (default $XDG_CACHE_HOME/searchbias, or
+    What is parsed from a regular file is cached under the SHA-256 of its
+    bytes in $SEARCHBIAS_CACHE_DIR (default $XDG_CACHE_HOME/searchbias, or
     ~/.cache/searchbias if XDG_CACHE_HOME is not an absolute path; empty
     turns the cache off), and a later load of the same bytes reads the
     entry instead of parsing. The table, and every error, are the same. A
-    directory or entry that other users may write to is not used.
+    directory or entry that other users may write to is not used. Labels,
+    truth and captions are cached the same way, each under its own kind.
     """
-    cache = _cache_dir()
-    regular = False
-    if cache is not None:
-        with suppress(OSError):
-            # A pipe or other special file is read once, by the parse.
-            regular = stat.S_ISREG(os.stat(path).st_mode)
-    hit = _cached_table(cache, path, expected_dim) if regular else None
-    if hit is not None:
-        table, digest = hit
-        _record(path, digest)
-        return table
-    sha = hashlib.sha256()
-    table = _parse_table(path, expected_dim, sha)
-    # Stored under the digest of the bytes parsed, which are not the bytes
-    # hashed for the lookup if the file changed in between.
-    if regular and len(table):
-        _store_table(cache, sha.hexdigest(), table)
-    return table
+
+    def read(fh):
+        # An entry is the float64 matrix in .npy form followed by the ids as
+        # one JSON array; the table must pass every `EmbeddingTable` check.
+        vectors = np.lib.format.read_array(fh, allow_pickle=False)
+        ids = orjson.loads(fh.read())
+        if (
+            vectors.dtype != np.float64
+            or vectors.ndim != 2
+            or not vectors.flags.c_contiguous
+            or type(ids) is not list
+            or (expected_dim is not None and vectors.shape[1] != expected_dim)
+        ):
+            raise ValueError("not a table entry")
+        return EmbeddingTable(ids, vectors)
+
+    def entry(table):
+        if not len(table):
+            return None
+
+        def write(fh):
+            np.lib.format.write_array(fh, table.vectors, allow_pickle=False)
+            fh.write(orjson.dumps(table.ids))
+
+        return table.vectors.nbytes, write
+
+    return _load_cached(
+        path, "table", lambda path, sha: _parse_table(path, expected_dim, sha), read, entry
+    )
 
 
 def _parse_table(path, expected_dim, sha):
@@ -546,9 +602,20 @@ def save_embeddings(table, path):
 
 
 def load_labels(path):
-    """Load {"id", "gender"} JSONL into an ordered id -> GenderLabel map."""
+    """Load {"id", "gender"} JSONL into an ordered id -> GenderLabel map.
+
+    Cached like a table (see `load_embeddings`): the entry is the columns
+    [ids, label values] as one JSON array.
+    """
+    return _load_cached(
+        path, "labels", _parse_labels, _read_labels,
+        lambda labels: _column_entry([list(labels), [label.value for label in labels.values()]]),
+    )
+
+
+def _parse_labels(path, sha):
     labels = {}
-    for lineno, obj in _parse_jsonl(path):
+    for lineno, obj in _parse_jsonl(path, sha):
         if "id" not in obj or "gender" not in obj:
             raise DataError(f"{path}, line {lineno}: record needs 'id' and 'gender' keys")
         id_ = obj["id"]
@@ -568,6 +635,15 @@ def load_labels(path):
     return labels
 
 
+def _read_labels(fh):
+    ids, values = _read_columns(fh, 2)
+    # KeyError: a value that is not a label's.
+    labels = dict(zip(ids, map(_LABEL_BY_VALUE.__getitem__, values)))
+    if len(labels) != len(ids):
+        raise ValueError("duplicate id")
+    return labels
+
+
 def save_labels(labels, path):
     _write_lines(
         path,
@@ -577,9 +653,20 @@ def save_labels(labels, path):
 
 
 def load_truth(path):
-    """Load {"text_id", "image_id"} JSONL into an ordered text id -> image id map."""
+    """Load {"text_id", "image_id"} JSONL into an ordered text id -> image id map.
+
+    Cached like a table (see `load_embeddings`): the entry is the columns
+    [text ids, image ids] as one JSON array.
+    """
+    return _load_cached(
+        path, "truth", _parse_truth, _read_truth,
+        lambda truth: _column_entry([list(truth), list(truth.values())]),
+    )
+
+
+def _parse_truth(path, sha):
     truth = {}
-    for lineno, obj in _parse_jsonl(path):
+    for lineno, obj in _parse_jsonl(path, sha):
         if "text_id" not in obj or "image_id" not in obj:
             raise DataError(f"{path}, line {lineno}: record needs 'text_id' and 'image_id' keys")
         tid, iid = obj["text_id"], obj["image_id"]
@@ -588,6 +675,14 @@ def load_truth(path):
         if tid in truth:
             raise DataError(f"{path}, line {lineno}: duplicate text_id {tid!r}")
         truth[tid] = iid
+    return truth
+
+
+def _read_truth(fh):
+    text_ids, image_ids = _read_columns(fh, 2)
+    truth = dict(zip(text_ids, image_ids))
+    if len(truth) != len(text_ids):
+        raise ValueError("duplicate text id")
     return truth
 
 

@@ -21,9 +21,12 @@ from types import MappingProxyType
 from .core import (
     DataError,
     GenderLabel,
+    _column_entry,
     _json_object,
     _json_str,
+    _load_cached,
     _parse_jsonl,
+    _read_columns,
     _read_utf8,
     _write_lines,
 )
@@ -320,10 +323,18 @@ def neutralize(text, lexicon=None):
 
 def load_captions(path):
     """Load {"id", "image_id", "text"} JSONL records as the columns
-    (ids, image_ids, texts), three lists in file order."""
+    (ids, image_ids, texts), three lists in file order.
+
+    Cached like an embedding table (see `load_embeddings`): the entry is the
+    three columns as one JSON array.
+    """
+    return _load_cached(path, "captions", _parse_captions, _read_captions, _column_entry)
+
+
+def _parse_captions(path, sha):
     ids, image_ids, texts = [], [], []
     seen = set()
-    for lineno, obj in _parse_jsonl(path):
+    for lineno, obj in _parse_jsonl(path, sha):
         try:
             # Read left to right, so the first missing key raises.
             cid, image_id, text = obj["id"], obj["image_id"], obj["text"]
@@ -344,6 +355,13 @@ def load_captions(path):
             texts.append(text)
             continue
         raise DataError(f"{path}, line {lineno}: {problem}")
+    return ids, image_ids, texts
+
+
+def _read_captions(fh):
+    ids, image_ids, texts = _read_columns(fh, 3)
+    if len(set(ids)) != len(ids):
+        raise ValueError("duplicate caption id")
     return ids, image_ids, texts
 
 

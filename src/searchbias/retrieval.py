@@ -217,12 +217,18 @@ def _rank_block(queries, qnorms, images, inorms, units, k):
         np.divide(b, inorms[i, None], out=b)
         exact[lo : lo + step] = _row_sums(np.multiply(a, b, out=a), work.ravel())
     np.clip(exact, -1.0, 1.0, out=exact)
-    # Candidates come by query, then in ascending image row, so one stable
-    # sort by (query, -score) breaks ties by file order. Every query has at
-    # least k candidates; its first k are its top k.
-    order = np.lexsort((-exact, qrow))
-    starts = np.searchsorted(qrow, np.arange(len(queries)))
-    keep = order[starts[:, None] + np.arange(k)]
+    # Candidates come by query, then in ascending image row. Each query's run
+    # is laid out as one row of a matrix padded with +inf, at each candidate's
+    # offset within the run, so one stable sort per row by -score breaks ties
+    # by file order (and -0.0 equals 0.0). The matrix and the sort's indices,
+    # (queries x widest run) each, are at most twice the float32 block's
+    # bytes, freed above. Every query has at least k candidates; the first k
+    # of its row are its top k.
+    counts = np.bincount(qrow, minlength=len(queries))
+    starts = np.cumsum(counts) - counts
+    padded = np.full((len(queries), int(counts.max())), np.inf)
+    padded[qrow, np.arange(len(qrow)) - starts[qrow]] = -exact
+    keep = starts[:, None] + np.argsort(padded, axis=1, kind="stable")[:, :k]
     return irow[keep], exact[keep]
 
 

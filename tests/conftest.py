@@ -5,9 +5,9 @@ import pytest
 
 @pytest.fixture(autouse=True)
 def table_cache(tmp_path_factory, monkeypatch):
-    """Give each test an empty table cache of its own, and return its path.
+    """Give each test an empty cache of its own, and return its path.
 
-    `load_embeddings` caches parsed tables in $SEARCHBIAS_CACHE_DIR, so no
+    The JSONL loaders cache what they parse in $SEARCHBIAS_CACHE_DIR, so no
     test sees entries another test wrote, and none writes into the user's
     cache. Subprocesses, such as the benchmark smoke runs, inherit it.
     """

@@ -144,8 +144,8 @@ def test_evaluate_cold_and_warm_table_cache_write_the_same_bytes(data_dir, tmp_p
     assert list(table_cache.iterdir()) == []
     assert main(argv) == 0
     cold = {p.name: read_bytes(p) for p in out.iterdir()}
-    # One entry per table file: images and texts.
-    assert len(list(table_cache.iterdir())) == 2
+    # One entry per JSONL input: images and texts, labels and truth.
+    assert sorted(p.suffix for p in table_cache.iterdir()) == [".labels", ".table", ".table", ".truth"]
     for p in out.iterdir():
         p.unlink()
     assert main(argv) == 0
@@ -421,6 +421,22 @@ def _pinned_captions(path):
                 "text": text + rng.choice([".", "!", "", "?"]),
             }
             fh.write(json.dumps(record) + "\n")
+
+
+def test_label_and_neutralize_cold_and_warm_caption_cache_write_the_same_bytes(tmp_path, table_cache):
+    caps = tmp_path / "caps.jsonl"
+    _pinned_captions(caps)
+    runs = []
+    for _ in range(2):
+        for command in ("label", "neutralize"):
+            assert main([command, "--captions", str(caps), "--out-dir", str(tmp_path / command)]) == 0
+        runs.append({p: p.read_bytes() for command in ("label", "neutralize")
+                     for p in (tmp_path / command).iterdir()})
+        # One entry, the captions', which the neutralize of the cold run already read.
+        assert [p.suffix for p in table_cache.iterdir()] == [".captions"]
+        for p in runs[-1]:
+            p.unlink()
+    assert len(runs[0]) == 4 and runs[1] == runs[0]
 
 
 def test_caption_and_table_outputs_are_pinned(tmp_path):
@@ -857,8 +873,8 @@ def test_retrieve_reads_a_named_pipe_once_and_records_its_bytes(data_dir, tmp_pa
 
 
 def test_warm_evaluate_hashes_each_table_once(data_dir, tmp_path, monkeypatch):
-    """The manifest reads no input again: with both tables cached, the only
-    hashing by path is one cache lookup per table."""
+    """The manifest reads no input again: with every input cached, the only
+    hashing by path is one cache lookup per input."""
     argv = ["evaluate", *dataset_args(data_dir), "--out-dir", str(tmp_path / "out")]
     assert main(argv) == 0
     cold = (tmp_path / "out" / "manifest.json").read_bytes()
@@ -871,7 +887,7 @@ def test_warm_evaluate_hashes_each_table_once(data_dir, tmp_path, monkeypatch):
 
     monkeypatch.setattr(core, "_sha256", sha256)
     assert main(argv) == 0
-    assert hashed == [str(data_dir / "images.jsonl"), str(data_dir / "texts.jsonl")]
+    assert hashed == [str(data_dir / name) for name in ("images.jsonl", "texts.jsonl", "labels.jsonl", "truth.jsonl")]
     assert (tmp_path / "out" / "manifest.json").read_bytes() == cold
     assert not hasattr(cli, "_sha256")
 

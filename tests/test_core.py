@@ -10,7 +10,7 @@ import numpy as np
 import orjson
 import pytest
 
-from searchbias import core
+from searchbias import core, gender_text
 from searchbias.clipper import ClipPlan, apply_clip
 from searchbias.core import (
     DataError,
@@ -285,7 +285,7 @@ def test_save_embeddings_writes_the_json_dumps_bytes(tmp_path):
 
 
 def _count_parses(monkeypatch):
-    """The paths of the JSONL parses made from now on."""
+    """The paths of the JSONL parses made from now on, by any loader."""
     calls = []
     parse = core._parse_jsonl
 
@@ -293,7 +293,8 @@ def _count_parses(monkeypatch):
         calls.append(path)
         return parse(path, *args)
 
-    monkeypatch.setattr(core, "_parse_jsonl", counted)
+    for module in (core, gender_text):
+        monkeypatch.setattr(module, "_parse_jsonl", counted)
     return calls
 
 
@@ -301,8 +302,8 @@ def _cache_files(cache):
     return sorted(p.name for p in cache.iterdir()) if cache.is_dir() else []
 
 
-def _entry_name(path):
-    return hashlib.sha256(path.read_bytes()).hexdigest() + ".table"
+def _entry_name(path, kind="table"):
+    return f"{hashlib.sha256(path.read_bytes()).hexdigest()}.{kind}"
 
 
 def _cacheable_table():
@@ -560,6 +561,112 @@ def test_table_cache_trusts_only_what_other_users_cannot_write(tmp_path, table_c
     assert len(parses) == 3
 
 
+# Each column kind: its loader, a file of two records, and that file's value.
+_COLUMN_KINDS = {
+    "labels": (
+        load_labels,
+        b'{"id": "b", "gender": "Female"}\n\n{"id": "a\\u0000", "gender": "male"}\n',
+        {"b": GenderLabel.FEMALE, "a\x00": GenderLabel.MALE},
+    ),
+    "truth": (
+        load_truth,
+        b'{"text_id": "t2", "image_id": "a"}\n{"text_id": "t1", "image_id": "a"}\n',
+        {"t2": "a", "t1": "a"},
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_COLUMN_KINDS))
+def test_label_and_truth_caches_skip_the_parse(tmp_path, monkeypatch, table_cache, kind):
+    load, data, value = _COLUMN_KINDS[kind]
+    path = tmp_path / "in.jsonl"
+    path.write_bytes(data)
+    parses = _count_parses(monkeypatch)
+    loaded = [load(path)]
+    assert len(parses) == 1
+    assert _cache_files(table_cache) == [_entry_name(path, kind)]
+    loaded.append(load(path))
+    assert len(parses) == 1
+    for back in loaded:
+        assert list(back.items()) == list(value.items())
+
+
+def test_a_file_valid_for_two_loaders_gets_an_entry_for_each(tmp_path, monkeypatch, table_cache):
+    path = tmp_path / "both.jsonl"
+    path.write_text('{"id": "t", "gender": "male", "text_id": "t", "image_id": "i"}\n')
+    parses = _count_parses(monkeypatch)
+    for _ in range(2):
+        assert load_labels(path) == {"t": GenderLabel.MALE}
+        assert load_truth(path) == {"t": "i"}
+    # The labels entry did not serve the truth load, nor the other way round.
+    assert len(parses) == 2
+    assert _cache_files(table_cache) == sorted([_entry_name(path, "labels"), _entry_name(path, "truth")])
+
+
+def _damage_column(i, j, item):
+    def damage(columns):
+        columns[i][j] = item
+
+    return damage
+
+
+# Each damage to a column entry, as an edit of its decoded columns or, for
+# a truncation, of its bytes; the kinds it applies to.
+_DAMAGED_COLUMNS = {
+    "truncated": (None, ("labels", "truth")),
+    "unequal columns": (lambda columns: columns[1].pop(), ("labels", "truth")),
+    "empty id": (_damage_column(0, 0, ""), ("labels", "truth")),
+    "empty image id": (_damage_column(1, 0, ""), ("truth",)),
+    "duplicate id": (lambda columns: columns[0].__setitem__(1, columns[0][0]), ("labels", "truth")),
+    "unknown gender value": (_damage_column(1, 0, "Female"), ("labels",)),
+    "non-string id": (_damage_column(0, 0, 7), ("labels", "truth")),
+    "non-string value": (_damage_column(1, 0, ["female"]), ("labels", "truth")),
+    "one column": (lambda columns: columns.pop(), ("labels", "truth")),
+    "an object": (lambda columns: columns.append({}), ("labels", "truth")),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, damage",
+    [(kind, damage) for damage, (_, kinds) in sorted(_DAMAGED_COLUMNS.items()) for kind in kinds],
+)
+def test_label_and_truth_caches_ignore_and_rewrite_a_bad_entry(tmp_path, monkeypatch, table_cache, kind, damage):
+    load, data, value = _COLUMN_KINDS[kind]
+    path = tmp_path / "in.jsonl"
+    path.write_bytes(data)
+    load(path)
+    entry = table_cache / _entry_name(path, kind)
+    good = entry.read_bytes()
+    edit = _DAMAGED_COLUMNS[damage][0]
+    if edit is None:
+        entry.write_bytes(good[:-3])
+    else:
+        columns = orjson.loads(good)
+        edit(columns)
+        entry.write_bytes(orjson.dumps(columns))
+    assert entry.read_bytes() != good
+    parses = _count_parses(monkeypatch)
+    assert list(load(path).items()) == list(value.items())
+    assert len(parses) == 1
+    assert entry.read_bytes() == good
+
+
+@pytest.mark.parametrize("kind", sorted(_COLUMN_KINDS))
+def test_label_and_truth_caches_store_no_failed_or_empty_load(tmp_path, table_cache, kind):
+    load, data, _ = _COLUMN_KINDS[kind]
+    path = tmp_path / "in.jsonl"
+    path.write_bytes(b"\n")
+    assert load(path) == load(path) == {}
+    path.write_bytes(data + data)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(DataError) as exc:
+            load(path)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1] and "duplicate" in messages[0]
+    assert _cache_files(table_cache) == []
+
+
 # Each JSON document: its name in errors, its required keys, a saved instance
 # and its loader, and how to save what the loader returns.
 _JSON_DOCUMENTS = {
@@ -634,14 +741,20 @@ def test_loaders_record_the_digest_of_the_bytes_they_parse(tmp_path, table_cache
         "enc.json": LinearEncoders.load,
     }
     want = {str(tmp_path / name): hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in loaders}
-    # A table parsed, read from the cache, and parsed with the cache off.
+    parses = _count_parses(monkeypatch)
+    # Each JSONL input parsed, read from the cache, and parsed with the cache off.
     for cache in (str(table_cache), str(table_cache), ""):
         monkeypatch.setenv("SEARCHBIAS_CACHE_DIR", cache)
         with core.recording_inputs() as record:
             for name, load in loaders.items():
                 load(tmp_path / name)
         assert record == want
-    assert _cache_files(table_cache) == [_entry_name(tmp_path / "t.jsonl")]
+    assert len(parses) == 8
+    assert _cache_files(table_cache) == sorted(
+        _entry_name(tmp_path / name, kind)
+        for name, kind in [("t.jsonl", "table"), ("labels.jsonl", "labels"),
+                           ("truth.jsonl", "truth"), ("captions.jsonl", "captions")]
+    )
     # Outside a recording scope nothing is recorded; an input that fails to
     # load is not recorded inside one.
     assert core._recorded.get() is None

@@ -8,9 +8,11 @@ import pickle
 import re
 
 import numpy as np
+import orjson
 import pytest
 
-from searchbias.core import DataError, GenderLabel
+from searchbias import core, gender_text
+from searchbias.core import DataError, GenderLabel, load_labels
 from searchbias.gender_text import (
     CaptionGender,
     GenderLexicon,
@@ -290,6 +292,104 @@ def test_malformed_caption_messages(tmp_path, lines, message):
     with pytest.raises(DataError) as info:
         load_captions(path)
     assert str(info.value) == f"{path}, {message}"
+
+
+def _count_caption_parses(monkeypatch):
+    """The paths of the JSONL parses made from now on, by any loader."""
+    calls = []
+    parse = core._parse_jsonl
+
+    def counted(path, *args):
+        calls.append(path)
+        return parse(path, *args)
+
+    for module in (core, gender_text):
+        monkeypatch.setattr(module, "_parse_jsonl", counted)
+    return calls
+
+
+def _entry(cache, path, kind):
+    return cache / f"{hashlib.sha256(path.read_bytes()).hexdigest()}.{kind}"
+
+
+_CAPTIONS = (["c2", "c1\x00", "c3"], ["i1", "i2", "i1"], ["A man.", "caf\u00e9 \U0001f600", "A dog."])
+
+
+def test_captions_cache_skips_the_parse(tmp_path, monkeypatch, table_cache):
+    path = tmp_path / "caps.jsonl"
+    save_captions(_CAPTIONS, path)
+    parses = _count_caption_parses(monkeypatch)
+    loaded = [load_captions(path)]
+    assert len(parses) == 1
+    assert [p.name for p in table_cache.iterdir()] == [_entry(table_cache, path, "captions").name]
+    loaded.append(load_captions(path))
+    assert len(parses) == 1
+    assert loaded == [_CAPTIONS, _CAPTIONS]
+
+
+def test_captions_and_labels_of_one_file_get_an_entry_each(tmp_path, monkeypatch, table_cache):
+    path = tmp_path / "both.jsonl"
+    path.write_text('{"id": "c1", "image_id": "i1", "text": "A man.", "gender": "male"}\n')
+    parses = _count_caption_parses(monkeypatch)
+    for _ in range(2):
+        assert load_captions(path) == (["c1"], ["i1"], ["A man."])
+        assert load_labels(path) == {"c1": GenderLabel.MALE}
+    assert len(parses) == 2
+    assert sorted(p.name for p in table_cache.iterdir()) == sorted(
+        _entry(table_cache, path, kind).name for kind in ("captions", "labels")
+    )
+
+
+def _set_item(i, j, item):
+    def damage(columns):
+        columns[i][j] = item
+
+    return damage
+
+
+_DAMAGED_CAPTIONS = {
+    "truncated": None,
+    "unequal columns": lambda columns: columns[2].pop(),
+    "empty id": _set_item(0, 0, ""),
+    "empty image id": _set_item(1, 2, ""),
+    "empty text": _set_item(2, 1, ""),
+    "duplicate id": _set_item(0, 2, "c2"),
+    "non-string id": _set_item(0, 0, 7),
+    "non-string text": _set_item(2, 0, None),
+    "two columns": lambda columns: columns.pop(),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(_DAMAGED_CAPTIONS))
+def test_captions_cache_ignores_and_rewrites_a_bad_entry(tmp_path, monkeypatch, table_cache, damage):
+    path = tmp_path / "caps.jsonl"
+    save_captions(_CAPTIONS, path)
+    load_captions(path)
+    entry = _entry(table_cache, path, "captions")
+    good = entry.read_bytes()
+    edit = _DAMAGED_CAPTIONS[damage]
+    if edit is None:
+        entry.write_bytes(good[:-3])
+    else:
+        columns = orjson.loads(good)
+        edit(columns)
+        entry.write_bytes(orjson.dumps(columns))
+    assert entry.read_bytes() != good
+    parses = _count_caption_parses(monkeypatch)
+    assert load_captions(path) == _CAPTIONS
+    assert len(parses) == 1
+    assert entry.read_bytes() == good
+
+
+def test_captions_cache_stores_no_empty_or_failed_load(tmp_path, table_cache):
+    path = tmp_path / "caps.jsonl"
+    path.write_text("\n")
+    assert load_captions(path) == load_captions(path) == ([], [], [])
+    path.write_text('{"id": "c1", "image_id": "i1", "text": "x"}\n{"id": "c1", "image_id": "i1", "text": "y"}\n')
+    for _ in range(2):
+        with pytest.raises(DataError, match="line 2: duplicate caption id 'c1'"):
+            load_captions(path)
+    assert list(table_cache.iterdir()) == []
 
 
 def test_save_captions_writes_the_json_dumps_bytes(tmp_path):

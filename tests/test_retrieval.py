@@ -371,3 +371,43 @@ def test_ranked_table_of_hand_built_results_pads_ragged_rows():
     assert table.image_ids == ["x", "y", "y\x00"]
     assert table.rows.tolist() == [[0, 1, 0], [-1, -1, -1], [2, -1, -1]]
     assert table == ragged and table[1].ranked == []
+
+
+def _lexsort_reference(texts, images, k):
+    """Every (query, image) pair a candidate, scored by the kernel and ranked
+    by one stable lexsort by (query, -score): rows and scores of each top k."""
+    n = len(images)
+    qunits = texts.vectors / retrieval.row_norms(texts.vectors)[:, None]
+    iunits = images.vectors / retrieval.row_norms(images.vectors)[:, None]
+    qrow = np.repeat(np.arange(len(texts)), n)
+    irow = np.tile(np.arange(n), len(texts))
+    exact = np.clip(retrieval._row_dots(qunits[qrow], iunits[irow]), -1.0, 1.0)
+    keep = np.lexsort((-exact, qrow)).reshape(len(texts), n)[:, :k]
+    return irow[keep], exact[keep]
+
+
+def test_row_sort_matches_a_lexsort_reference():
+    rng = np.random.default_rng(3)
+    spread = rng.standard_normal((30, 3))
+    # Below the xy-plane, and x <= 0 < y: every one scores below zero for
+    # the query along (1, -1, -0).
+    spread[:, 0], spread[:, 1], spread[:, 2] = -abs(spread[:, 0]), abs(spread[:, 1]) + 0.1, -abs(spread[:, 2])
+    # 24 equal rows up the z axis, alternately with x = -0.0: the query
+    # along z ties on all of them at 1, and the query along (1, -1, -0) on
+    # all of them at 0.0 and -0.0 alike, so both have far more candidates
+    # than the queries near one spread row.
+    up = np.zeros((24, 3))
+    up[:, 2] = 1.0
+    up[::2, 0] = -0.0
+    vectors = np.vstack([spread[:10], up, spread[10:]])
+    images = EmbeddingTable([f"i{j}" for j in range(len(vectors))], vectors)
+    queries = np.vstack([[0.0, 0.0, 2.0], [1.0, -1.0, -0.0], spread[:6] + 0.01 * rng.standard_normal((6, 3))])
+    texts = EmbeddingTable([f"t{j}" for j in range(len(queries))], queries)
+    for k in (1, 5, 30, len(images)):
+        got = retrieve_all(texts, images, k)
+        rows, scores = _lexsort_reference(texts, images, k)
+        assert np.array_equal(got.rows, rows), k
+        assert got.scores.tobytes() == scores.tobytes(), k
+    # The signed zeros tie: the zero query's top 5 are the first five up rows.
+    assert got.rows[1, :5].tolist() == list(range(10, 15))
+    assert sorted({math.copysign(1.0, s) for s in got.scores[1, :24]}) == [-1.0, 1.0]
