@@ -11,12 +11,15 @@ rewrite is a no-op.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
+
+import numpy as np
 
 from .core import (
     DataError,
@@ -104,6 +107,20 @@ def tokenize(text):
     return [word.lower() for word in _WORD_RE.findall(text)]
 
 
+def _whole_words(words):
+    """Regex source matching any of `words` with no a-z letter on either side.
+
+    Each lookbehind follows its word, so a search still skips ahead to the
+    words' first letters, and words that share a first letter share one
+    branch, so a position is tried against one branch, not every word.
+    """
+    branches = []
+    for first, group in itertools.groupby(sorted(words), key=lambda w: w[:1]):
+        rests = "|".join(f"{re.escape(w[1:])}(?<![a-z]{re.escape(w)})" for w in group)
+        branches.append(f"{re.escape(first)}(?:{rests})")
+    return f"(?:{'|'.join(branches)})(?![a-z])"
+
+
 @dataclass(frozen=True)
 class GenderLexicon:
     """Masculine/feminine/neutral word sets plus the neutral replacement map.
@@ -138,10 +155,15 @@ class GenderLexicon:
         # Prefilter for ASCII text, which lowers letter for letter: a gendered
         # token stands in the lowered text with no letter on either side, so a
         # text this misses has none. "men" stands for the phrase rule, which
-        # runs under any lexicon. Each lookbehind follows its word, so the
-        # search still skips ahead to the words' first letters.
-        words = "|".join(f"{w}(?<![a-z]{w})" for w in map(re.escape, sorted(gendered | {"men"})))
-        object.__setattr__(self, "_prefilter", re.compile(f"(?:{words})(?![a-z])"))
+        # runs under any lexicon.
+        object.__setattr__(self, "_prefilter", re.compile(_whole_words(gendered | {"men"})))
+        # The caption scan (see `caption_hits`) looks only for the words that
+        # can equal a token, runs of a-z; an empty alternation would match
+        # everywhere, so without such words there is no scan.
+        letters = [w for w in gendered if w.isascii() and w.isalpha()]
+        scan = re.compile(_whole_words(letters).encode("ascii")) if letters else None
+        object.__setattr__(self, "_scan", scan)
+        object.__setattr__(self, "_scan_masculine", {w.encode("ascii") for w in letters if w in masc})
 
     def __hash__(self):
         # Agrees with the generated __eq__, which compares the four fields;
@@ -199,23 +221,42 @@ class CaptionGender(Enum):
     NONE = "none"
 
 
-def _gender_hits(text, lexicon):
-    """(has a masculine token, has a feminine token) for one text."""
-    # str.lower() can turn a non-ASCII letter into an ASCII one (the Kelvin
-    # sign into "k"), so only an ASCII text is prefiltered and tokenized lowered.
-    if text.isascii():
-        lowered = text.lower()
-        if not lexicon._prefilter.search(lowered):
-            return False, False
-        tokens = set(_WORD_RE.findall(lowered))
-    else:
-        tokens = set(tokenize(text))
-    return not tokens.isdisjoint(lexicon.masculine), not tokens.isdisjoint(lexicon.feminine)
+def caption_hits(texts, lexicon=None):
+    """Whether each text holds a masculine token and a feminine token, as two
+    boolean arrays (masculine, feminine) in the order of `texts`.
+
+    One scan serves the whole column. The texts are joined by "\\n" and every
+    non-ASCII code point is folded to "?", which keeps each offset and each
+    run of ASCII letters, so the tokens too; lowering the folded text can then
+    turn no other character into an ASCII letter (as `str.lower` turns the
+    Kelvin sign into "k"). Each whole-word match of a gendered word is mapped
+    back to its text by the texts' start offsets, never by counting "\\n": a
+    text may hold one.
+    """
+    lexicon = lexicon or GenderLexicon.default()
+    masc = np.zeros(len(texts), dtype=bool)
+    fem = np.zeros(len(texts), dtype=bool)
+    if lexicon._scan is None:
+        return masc, fem
+    folded = "\n".join(texts).encode("ascii", "replace").lower()
+    # Each match as one integer, 2 * start + (1 if masculine else 0), read as
+    # the scan goes: holding every match object at once left the heap larger.
+    masculine = lexicon._scan_masculine
+    found = np.fromiter(
+        (2 * m.start() + (m[0] in masculine) for m in lexicon._scan.finditer(folded)), dtype=np.intp
+    )
+    # ends[i] is one past the "\n" that follows text i.
+    ends = np.cumsum(np.fromiter(map(len, texts), dtype=np.intp, count=len(texts)) + 1)
+    rows = np.searchsorted(ends, found >> 1, side="right")
+    is_masc = (found & 1).astype(bool)
+    masc[rows[is_masc]] = True
+    fem[rows[~is_masc]] = True
+    return masc, fem
 
 
 def caption_gender(text, lexicon=None):
     """Which gendered word sets a caption hits (exact token match)."""
-    has_masc, has_fem = _gender_hits(text, lexicon or GenderLexicon.default())
+    (has_masc,), (has_fem,) = caption_hits([text], lexicon)
     if has_masc and has_fem:
         return CaptionGender.HAS_BOTH
     if has_masc:
@@ -225,27 +266,41 @@ def caption_gender(text, lexicon=None):
     return CaptionGender.NONE
 
 
-def image_gender(caption_texts, lexicon=None):
-    """Aggregate an image's captions into a single gender label.
+# An image's label by (any caption masculine) + 2 * (any caption feminine).
+_IMAGE_LABELS = (GenderLabel.NEUTRAL, GenderLabel.MALE, GenderLabel.FEMALE, GenderLabel.NEUTRAL)
 
-    Male iff at least one caption mentions a masculine word and none mentions
-    a feminine word; Female symmetrically; Neutral otherwise. Order of the
-    captions does not matter.
+
+def image_gender(caption_texts, lexicon=None, image_ids=None):
+    """Aggregate captions into image gender labels.
+
+    An image is Male iff at least one of its captions mentions a masculine
+    word and none mentions a feminine word; Female symmetrically; Neutral
+    otherwise. Order of the captions does not matter.
+
+    Given `image_ids`, one per caption, returns {image id: label} in the order
+    each id first appears. Without them, every caption is one image's, and
+    that image's label is returned.
     """
-    caption_texts = list(caption_texts)
-    if not caption_texts:
-        raise DataError("image_gender needs at least one caption")
-    lexicon = lexicon or GenderLexicon.default()
-    any_masc = any_fem = False
-    for text in caption_texts:
-        has_masc, has_fem = _gender_hits(text, lexicon)
-        any_masc |= has_masc
-        any_fem |= has_fem
-    if any_masc and not any_fem:
-        return GenderLabel.MALE
-    if any_fem and not any_masc:
-        return GenderLabel.FEMALE
-    return GenderLabel.NEUTRAL
+    texts = list(caption_texts)
+    one_image = image_ids is None
+    if one_image:
+        if not texts:
+            raise DataError("image_gender needs at least one caption")
+        image_ids = [None] * len(texts)
+    elif len(image_ids) != len(texts):
+        raise ValueError(f"{len(image_ids)} image ids for {len(texts)} captions")
+    masc, fem = caption_hits(texts, lexicon)
+    # One dict maps each image id to its row, then to its label.
+    labels = dict.fromkeys(image_ids)
+    for row, image_id in enumerate(labels):
+        labels[image_id] = row
+    image_rows = np.fromiter(map(labels.__getitem__, image_ids), dtype=np.intp, count=len(texts))
+    codes = np.zeros(len(labels), dtype=np.intp)
+    codes[image_rows[masc]] = 1
+    codes[image_rows[fem]] |= 2
+    for image_id, code in zip(labels, codes.tolist()):
+        labels[image_id] = _IMAGE_LABELS[code]
+    return labels[None] if one_image else labels
 
 
 def _match_case(template, word):

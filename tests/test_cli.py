@@ -1,7 +1,9 @@
 """End-to-end CLI behavior: outputs, manifests, determinism, exit codes."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import random
@@ -468,6 +470,93 @@ def test_caption_and_table_outputs_are_pinned(tmp_path):
         "neut/neutralized.jsonl": "035ccaa59b6485a804b56245a15dcfad5b5d11b21f2abd2b48534c7e80857250",
         "clip/clipped.jsonl": "e8df7ca390f686dc26c049ea58541d8028a063ed344a2c513faefcf9dcb4c0f6",
     }
+
+
+def _interleaved_captions(path):
+    """Seeded captions whose image ids interleave, about half of them holding
+    non-ASCII text and a tenth a line break."""
+    rng = random.Random(24)
+    themes = [
+        ["man", "Men", "Male", "son's", "BOY", "3men"],
+        ["WOMAN", "girl's", "female", "wife", "Lady"],
+        ["person", "dog", "a", "the", "and", "riding", "x-ray", "mankind", "german", "Kman"],
+    ]
+    odd = ["\u212aing", "caf\u00e9", "\u0130man", "man\u0130", "\u212aman", "\u017fon", "\U0001f600",
+           "na\u00efve", "\xa0"]
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(400):
+            theme = themes[rng.choice([0, 1, 2, 2, 2])]
+            text = " ".join(rng.choice(theme + themes[2]) for _ in range(rng.randint(1, 6)))
+            if rng.random() < 0.5:
+                cut = rng.randint(0, len(text))
+                text = text[:cut] + rng.choice(odd) + text[cut:]
+            if rng.random() < 0.1:
+                text += rng.choice(["\n", "\r\n"]) + rng.choice(themes[2])
+            record = {"id": f"c{i}", "image_id": f"img{rng.randrange(150)}", "text": text}
+            fh.write(json.dumps(record) + "\n")
+
+
+def test_label_of_interleaved_captions_is_pinned(tmp_path, table_cache):
+    """label writes these labels from one scan of the caption column, and the
+    same out-dir bytes from a cold and a warm caption cache."""
+    caps = tmp_path / "caps.jsonl"
+    _interleaved_captions(caps)
+    out = tmp_path / "label"
+    runs = []
+    for _ in range(2):
+        assert main(["label", "--captions", str(caps), "--out-dir", str(out)]) == 0
+        runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        for p in out.iterdir():
+            p.unlink()
+    assert [p.suffix for p in table_cache.iterdir()] == [".captions"]
+    assert sorted(runs[0]) == ["labels.jsonl", "manifest.json"] and runs[1] == runs[0]
+    genders = [json.loads(line)["gender"] for line in runs[0]["labels.jsonl"].splitlines()]
+    assert {g: genders.count(g) for g in set(genders)} == {"male": 39, "female": 25, "neutral": 78}
+    # Computed with the per-image labeler, before the column scan.
+    assert hashlib.sha256(runs[0]["labels.jsonl"]).hexdigest() == (
+        "4191fbb630c0c1a7b1abfe4870e0eec86405afd03e432d805976e6a4d1fb16e1"
+    )
+
+
+_COMMANDS = [
+    "synth", "label", "neutralize", "retrieve", "evaluate", "clip-fit", "clip-apply", "train",
+    "sweep-alpha", "sweep-m", "occupation-bias",
+]
+_REFUSED_ARGVS = [
+    ["-h"], ["--version"], [], ["lable"], ["--bogus"], ["label", "label"], ["label", "--version"],
+    *([name, "-h"] for name in _COMMANDS),
+    *([name, "--bogus"] for name in _COMMANDS),
+    *([name, "--seed", "x"] for name in _COMMANDS),
+    *([name] for name in _COMMANDS if name != "synth"),  # a required flag is missing
+]
+
+
+def _parse_output(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", _REFUSED_ARGVS, ids=" ".join)
+def test_one_command_parser_prints_what_the_full_parser_prints(argv, monkeypatch):
+    """main builds only the subcommand argv names, and its usage, help and
+    error text match the parser of every subcommand byte for byte."""
+    monkeypatch.setenv("COLUMNS", "100")
+    expected = _parse_output(lambda a: cli.build_parser().parse_args(a), argv)
+    assert expected[0] in (0, 2) and expected[1] + expected[2]
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda *a: built.append(a) or build(*a))
+    assert _parse_output(main, argv) == expected
+    assert built == [(argv[0] if argv else None,)]
+
+
+def test_the_parser_tests_cover_every_command(capsys):
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["lable"])
+    assert capsys.readouterr().err.endswith(f"(choose from {', '.join(map(repr, _COMMANDS))})\n")
 
 
 _AWKWARD_TEXT_IDS = [

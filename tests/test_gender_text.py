@@ -17,6 +17,7 @@ from searchbias.gender_text import (
     CaptionGender,
     GenderLexicon,
     caption_gender,
+    caption_hits,
     image_gender,
     load_captions,
     neutralize,
@@ -413,6 +414,27 @@ def test_save_captions_writes_the_json_dumps_bytes(tmp_path):
     assert path.read_bytes() == expected.encode("ascii")
 
 
+def _reference_hits(text, lexicon):
+    """(masculine, feminine) hits of one text, from its token set."""
+    tokens = set(tokenize(text))
+    return not tokens.isdisjoint(lexicon.masculine), not tokens.isdisjoint(lexicon.feminine)
+
+
+_GENDER_OF_HITS = {
+    (True, True): CaptionGender.HAS_BOTH,
+    (True, False): CaptionGender.HAS_MASC,
+    (False, True): CaptionGender.HAS_FEM,
+    (False, False): CaptionGender.NONE,
+}
+
+
+def _reference_label(texts, lexicon):
+    """An image's label from the token sets of its captions."""
+    hits = [_reference_hits(text, lexicon) for text in texts]
+    masc, fem = any(m for m, _ in hits), any(f for _, f in hits)
+    return GenderLabel.MALE if masc and not fem else GenderLabel.FEMALE if fem and not masc else GenderLabel.NEUTRAL
+
+
 def _without_prefilter(lexicon):
     """A copy of `lexicon` whose prefilter sends every text down the full path."""
     copy = dataclasses.replace(lexicon)
@@ -456,10 +478,10 @@ def test_prefilter_never_changes_the_caption_tools():
         assert 100 < skipped < len(texts) - 100
         for text in texts:
             assert neutralize(text, lexicon) == neutralize(text, full), text
-            assert caption_gender(text, lexicon) is caption_gender(text, full), text
+            assert caption_gender(text, lexicon) is _GENDER_OF_HITS[_reference_hits(text, lexicon)], text
         for i in range(0, len(texts), 3):
             group = texts[i : i + 3]
-            assert image_gender(group, lexicon) is image_gender(group, full), group
+            assert image_gender(group, lexicon) is _reference_label(group, lexicon), group
 
     # The phrase rule runs under any lexicon, so "men" always passes the prefilter.
     assert neutralize("Men and women run", custom) == "People run"
@@ -535,3 +557,100 @@ def test_caption_tools_are_pinned():
         "custom/neutralize": "b3b7d578b8633986e25704136d809ef3ef0ef6150d8d7a6ea635802992cbadeb",
         "custom/caption_gender": "84bee5dac3f3ff54fdd315e04416b97a26cba0b8b3c7c6c9452ccb240e1d69fa",
     }
+
+
+_SCAN_FILLER = ["a", "an", "the", "and", "is", "person", "human", "german", "dog", "x-ray",
+                "Men and women", "women and men", "king", "ing", "actor", "owl", "mankind", "Kman"]
+_SCAN_CUSTOM = GenderLexicon(
+    masculine=frozenset({"king", "he-man", "mr.", "sir", "lord", "\u212aaiser"}),
+    feminine=frozenset({"queen", "ms.", "dame", "lady"}),
+    neutral=frozenset({"monarch"}),
+    replacement={"king": "monarch", "queen": "monarch"},
+)
+
+
+@pytest.mark.parametrize("name", ["default", "custom"])
+def test_caption_hits_are_the_token_sets(name):
+    """The column scan agrees with each caption's own token set."""
+    lexicon = GenderLexicon.default() if name == "default" else _SCAN_CUSTOM
+    words = sorted(lexicon.masculine | lexicon.feminine) + _SCAN_FILLER
+    rng = np.random.default_rng(24)
+    texts = _pinned_corpus(rng, words, 2000) + [_lexicon_text(rng, words) for _ in range(2000)]
+    assert 0.5 < sum(not text.isascii() for text in texts) / len(texts) < 0.95
+    masc, fem = caption_hits(texts, lexicon)
+    got = list(zip(masc.tolist(), fem.tolist()))
+    expected = [_reference_hits(text, lexicon) for text in texts]
+    assert got == expected
+    assert set(expected) == set(_GENDER_OF_HITS)  # every combination occurs
+
+
+def test_caption_hits_edge_cases():
+    texts = [
+        "a man\nand a dog",  # a caption may hold a line break...
+        "the\r\nwoman",
+        "dog",  # ...and the captions after it keep their own hits
+        "Kman",  # not a token of the lexicon
+        "man\u0130",  # \u0130 lowers to "i" and a combining dot
+        "\u212aman",  # the Kelvin sign lowers to "k"
+        "lone \ud800man",
+        "\U0001f600woman\U0001f600 \U0001f600",
+        "men\n",
+        "\nwomen",
+        "mankind",
+        "\u212aing queen",
+    ]
+    masc, fem = caption_hits(texts)
+    assert [_GENDER_OF_HITS[hit] for hit in zip(masc.tolist(), fem.tolist())] == [
+        CaptionGender.HAS_MASC,
+        CaptionGender.HAS_FEM,
+        CaptionGender.NONE,
+        CaptionGender.NONE,
+        CaptionGender.HAS_MASC,
+        CaptionGender.HAS_MASC,
+        CaptionGender.HAS_MASC,
+        CaptionGender.HAS_FEM,
+        CaptionGender.HAS_MASC,
+        CaptionGender.HAS_FEM,
+        CaptionGender.NONE,
+        CaptionGender.NONE,
+    ]
+    # The lexicon's Kelvin-sign word is lowered to "kaiser", the token of "Kaiser".
+    assert caption_gender("\u212aing queen", _SCAN_CUSTOM) is CaptionGender.HAS_FEM
+    assert caption_gender("Der Kaiser", _SCAN_CUSTOM) is CaptionGender.HAS_MASC
+    assert caption_gender("Der \u212aaiser", _SCAN_CUSTOM) is CaptionGender.NONE
+    for hits in (caption_hits([]), caption_hits([], _SCAN_CUSTOM)):
+        assert [h.tolist() for h in hits] == [[], []]
+    assert image_gender([], image_ids=[]) == {}
+
+
+def test_a_lexicon_of_no_letter_words_labels_everything_neutral():
+    lexicon = GenderLexicon(
+        masculine=frozenset({"he-man", "mr.", "m2", "\u017fir"}),
+        feminine=frozenset({"ms.", "mrs.", ""}),
+        neutral=frozenset(),
+        replacement={},
+    )
+    texts = ["he-man", "mr. smith", "Ms. Jones", "m2", "\u017fir", "sir", "", "a man and a woman"]
+    masc, fem = caption_hits(texts, lexicon)
+    assert not masc.any() and not fem.any()
+    assert image_gender(texts, lexicon, [f"i{i % 3}" for i in range(len(texts))]) == {
+        "i0": GenderLabel.NEUTRAL, "i1": GenderLabel.NEUTRAL, "i2": GenderLabel.NEUTRAL,
+    }
+
+
+def test_image_labels_come_in_first_appearance_order():
+    texts = ["A man", "A dog", "A woman", "A girl", "A boy", "Trees", "A man and a lady"]
+    ids = ["b", "a", "c", "a", "b", "d", "e"]
+    labels = image_gender(texts, image_ids=ids)
+    assert list(labels.items()) == [
+        ("b", GenderLabel.MALE),
+        ("a", GenderLabel.FEMALE),
+        ("c", GenderLabel.FEMALE),
+        ("d", GenderLabel.NEUTRAL),
+        ("e", GenderLabel.NEUTRAL),
+    ]
+    # Each image's label is the one its captions get alone.
+    for image_id, label in labels.items():
+        assert image_gender([t for t, i in zip(texts, ids) if i == image_id]) is label
+    with pytest.raises(ValueError, match="6 image ids for 7 captions"):
+        image_gender(texts, image_ids=ids[:-1])
