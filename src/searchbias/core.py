@@ -280,19 +280,6 @@ def _parse_jsonl(path, sha):
 _NUMBER_TYPES = frozenset((int, float))
 
 
-def _check_rows(path, rows, linenos, ids):
-    """Raise DataError for the first row of `rows` that is non-finite or all zero.
-
-    Within one row a non-finite component is reported before an all-zero row.
-    """
-    finite = np.isfinite(rows).all(axis=1)
-    ok = finite & rows.any(axis=1)
-    if not ok.all():
-        i = int(np.argmin(ok))
-        problem = "all-zero vector" if finite[i] else "non-finite vector component"
-        raise DataError(f"{path}, line {linenos[i]} (id {ids[i]!r}): {problem}")
-
-
 # The cache never holds more than this many bytes of entries.
 _CACHE_CAP_BYTES = 1 << 30
 # Entries are named by the digest of their input file and the kind of value
@@ -494,67 +481,55 @@ def load_embeddings(path, expected_dim=None):
 
 def _parse_table(path, expected_dim, sha):
     """The table in the JSONL file `path` (see `load_embeddings`); every
-    byte read is fed to `sha`, a hashlib object, and its digest recorded."""
+    byte read is fed to `sha`, a hashlib object, and its digest recorded.
+
+    Each line is checked whole, its values before its dimension and id,
+    before the next is read: the first bad line is the error reported.
+    """
     ids = []
-    linenos = []
     seen = set()
     # Rows packed end to end; the table is a view of this buffer, so loading
     # holds one copy of the vectors rather than a list of rows plus a stack.
     packed = array("d")
-    header_dim = None
-    error = None
-    try:
-        for lineno, obj in _parse_jsonl(path, sha):
-            if lineno == 1 and "dim" in obj and "id" not in obj:
-                # bool, a subclass of int, is refused.
-                if type(obj["dim"]) is not int or obj["dim"] < 1:
-                    raise DataError(f"{path}, line 1: header dim must be a positive integer")
-                if expected_dim is not None and obj["dim"] != expected_dim:
-                    raise DataError(
-                        f"{path}, line 1: header dim {obj['dim']} does not match expected dim {expected_dim}"
-                    )
-                header_dim = obj["dim"]
-                continue
-            if "id" not in obj or "vector" not in obj:
-                raise DataError(f"{path}, line {lineno}: record needs 'id' and 'vector' keys")
-            id_, vec = obj["id"], obj["vector"]
-            if not isinstance(id_, str) or not id_:
-                raise DataError(f"{path}, line {lineno}: id must be a non-empty string")
-            # JSON numbers parse to exactly int or float; bool, a subclass of int, is refused.
-            if not isinstance(vec, list) or not vec or not set(map(type, vec)) <= _NUMBER_TYPES:
-                raise DataError(f"{path}, line {lineno} (id {id_!r}): vector must be a non-empty list of numbers")
-            want = expected_dim if expected_dim is not None else header_dim
-            if want is None and ids:
-                want = len(packed) // len(ids)
-            wrong_dim = want is not None and len(vec) != want
-            if wrong_dim or id_ in seen:
-                # A row's own values are checked before its dimension and id.
-                _check_rows(path, np.array([vec], dtype=np.float64), [lineno], [id_])
-            if wrong_dim:
+    # Every row's dimension: the expected dim, else the header's, else the first row's.
+    want = expected_dim
+    for lineno, obj in _parse_jsonl(path, sha):
+        if lineno == 1 and "dim" in obj and "id" not in obj:
+            # bool, a subclass of int, is refused.
+            if type(obj["dim"]) is not int or obj["dim"] < 1:
+                raise DataError(f"{path}, line 1: header dim must be a positive integer")
+            if expected_dim is not None and obj["dim"] != expected_dim:
                 raise DataError(
-                    f"{path}, line {lineno} (id {id_!r}): dimension mismatch, got {len(vec)}, expected {want}"
+                    f"{path}, line 1: header dim {obj['dim']} does not match expected dim {expected_dim}"
                 )
-            if id_ in seen:
-                raise DataError(f"{path}, line {lineno}: duplicate id {id_!r}")
-            seen.add(id_)
-            ids.append(id_)
-            linenos.append(lineno)
-            packed.fromlist(vec)
-    except DataError as exc:
-        error = exc
-    if ids:
-        vectors = np.frombuffer(packed, dtype=np.float64).reshape(len(ids), -1)
-        # The rows read are checked as one matrix, and before a per-line
-        # error: a bad row on an earlier line is still the first error.
-        _check_rows(path, vectors, linenos, ids)
-    if error is not None:
-        raise error
-    if not ids:
-        dim = expected_dim if expected_dim is not None else header_dim
-        if dim is None:
-            raise DataError(f"{path}: empty table without a dim header")
-        return EmbeddingTable([], np.empty((0, dim)))
-    return EmbeddingTable(ids, vectors)
+            want = obj["dim"]
+            continue
+        if "id" not in obj or "vector" not in obj:
+            raise DataError(f"{path}, line {lineno}: record needs 'id' and 'vector' keys")
+        id_, vec = obj["id"], obj["vector"]
+        if not isinstance(id_, str) or not id_:
+            raise DataError(f"{path}, line {lineno}: id must be a non-empty string")
+        # JSON numbers parse to exactly int or float; bool, a subclass of int, is refused.
+        if not isinstance(vec, list) or not vec or not set(map(type, vec)) <= _NUMBER_TYPES:
+            raise DataError(f"{path}, line {lineno} (id {id_!r}): vector must be a non-empty list of numbers")
+        # orjson refuses NaN, ±Infinity and every number beyond the double
+        # range, so every component read is finite: no finiteness check.
+        if not any(vec):
+            raise DataError(f"{path}, line {lineno} (id {id_!r}): all-zero vector")
+        if want is None:
+            want = len(vec)
+        elif len(vec) != want:
+            raise DataError(
+                f"{path}, line {lineno} (id {id_!r}): dimension mismatch, got {len(vec)}, expected {want}"
+            )
+        if id_ in seen:
+            raise DataError(f"{path}, line {lineno}: duplicate id {id_!r}")
+        seen.add(id_)
+        ids.append(id_)
+        packed.fromlist(vec)
+    if want is None:
+        raise DataError(f"{path}: empty table without a dim header")
+    return EmbeddingTable(ids, np.frombuffer(packed, dtype=np.float64).reshape(len(ids), want))
 
 
 def _json_str(text):
@@ -562,7 +537,7 @@ def _json_str(text):
     return encode_basestring_ascii(text).encode("ascii")
 
 
-_SAVE_BATCH = 4096  # lines formatted, then written at once
+_SAVE_BATCH = 256  # lines formatted, then written at once: ~2.7 MB of 512-d table rows
 
 
 def _write_lines(path, lines):
@@ -594,11 +569,14 @@ def save_embeddings(table, path):
     floats in their repr (shortest round-trip) form, so every component
     reloads bit-identical. Empty tables get a {"dim": d} header.
     """
-    with open(path, "wb") as fh:
-        if len(table) == 0:
-            fh.write(b'{"dim": %d}\n' % table.dim)
-        for id_, vec in table.records():
-            fh.write(b'{"id": %s, "vector": %s}\n' % (_json_str(id_), _json_floats(vec)))
+    if len(table) == 0:
+        _write_lines(path, iter([b'{"dim": %d}\n' % table.dim]))
+        return
+    _write_lines(
+        path,
+        (b'{"id": %s, "vector": %s}\n' % (_json_str(id_), _json_floats(vec))
+         for id_, vec in table.records()),
+    )
 
 
 def load_labels(path):

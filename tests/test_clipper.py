@@ -186,6 +186,8 @@ def test_fit_m_validation():
         fit_clip_plan(ds.images, ds.labels, m=12)
     with pytest.raises(DataError):
         fit_clip_plan(ds.images, ds.labels, m=-1)
+    with pytest.raises(DataError, match="^cannot fit a clip plan on an empty table$"):
+        fit_clip_plan(EmbeddingTable([], np.zeros((0, 4))), {}, m=1)
 
 
 def test_plan_round_trip_and_accessors(tmp_path):
@@ -211,6 +213,9 @@ def test_plan_validation():
         ClipPlan(dim=3, mi=[0.1, 0.2, 0.3], clipped=[3])
     with pytest.raises(DataError):
         ClipPlan(dim=3, mi=[0.1, 0.2, 0.3], clipped=[0, 0])
+    for m in (-1, 3):
+        with pytest.raises(DataError, match=r"^prefix m must be in \[0, 2\]$"):
+            ClipPlan(dim=5, mi=[0.5, 0.1, 0.4, 0.2, 0.3], clipped=[0, 2]).prefix(m)
     with pytest.raises(DataError):
         ClipPlan.from_json('{"dim": 3, "mi": [1.0, 0.5, 0.1], "clipped": [0], "m": 2}')
     # A plan holds only scores that JSON can write, so `save` never writes a

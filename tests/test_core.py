@@ -141,7 +141,9 @@ def test_load_embeddings_error_reporting(tmp_path):
         '{"id": "b", "vector": [Infinity, 1.0]}',
         '{"id": "b", "vector": [-Infinity, 1.0]}',
         '{"id": "b", "vector": [1e400, 1.0]}',
+        '{"id": "b", "vector": [-1e400, 1.0]}',
         '{"id": "b", "vector": [1' + "0" * 400 + ', 1.0]}',
+        '{"id": "b", "vector": [-1' + "0" * 400 + ', 1.0]}',
         '{"id": "\\ud800", "vector": [1.0, 2.0]}',
     ):
         path.write_text(good + bad_line + "\n")
@@ -157,10 +159,24 @@ def test_load_embeddings_error_reporting(tmp_path):
         (good + zero + "not json\n", "line 2 \\(id 'z'\\): all-zero"),
         (good + '{"id": "b", "vector": [0.0]}\n', "line 2 \\(id 'b'\\): all-zero"),
         (good + good + zero, "line 2: duplicate id 'a'"),
+        # Components that underflow to zero make an all-zero row.
+        (good + '{"id": "u", "vector": [1e-400, -0.0]}\nnot json\n', "line 2 \\(id 'u'\\): all-zero vector$"),
     ):
         path.write_text(text)
         with pytest.raises(DataError, match=message):
             load_embeddings(path)
+
+    for text, message in (
+        (good + "[1.0, 2.0]\n", ", line 2: expected a JSON object"),
+        (good + '{"id": "b", "vec": [1.0, 2.0]}\n', ", line 2: record needs 'id' and 'vector' keys"),
+        (good + '{"id": 7, "vector": [1.0, 2.0]}\n', ", line 2: id must be a non-empty string"),
+        ("", ": empty table without a dim header"),
+        ("\n\n", ": empty table without a dim header"),
+    ):
+        path.write_text(text)
+        with pytest.raises(DataError) as err:
+            load_embeddings(path)
+        assert str(err.value) == f"{path}{message}"
 
 
 def _json_reference_table(path):
@@ -802,6 +818,10 @@ def test_labels_round_trip_and_errors(tmp_path):
     path.write_text('{"id": "a", "gender": "male"}\n{"id": "a", "gender": "male"}\n')
     with pytest.raises(DataError, match="duplicate"):
         load_labels(path)
+    path.write_text('{"id": "a", "gender": "male"}\n{"id": 7, "gender": "male"}\n')
+    with pytest.raises(DataError) as err:
+        load_labels(path)
+    assert str(err.value) == f"{path}, line 2: id must be a non-empty string"
 
     # Names in any case parse; every other value is named in the error.
     path.write_text('{"id": "a", "gender": "MALE"}\n{"id": "b", "gender": "Female"}\n')
@@ -825,6 +845,10 @@ def test_truth_round_trip_and_errors(tmp_path):
     path.write_text('{"text_id": "t1"}\n')
     with pytest.raises(DataError, match="line 1"):
         load_truth(path)
+    path.write_text('{"text_id": "t1", "image_id": "i3"}\n{"text_id": "t2", "image_id": ""}\n')
+    with pytest.raises(DataError) as err:
+        load_truth(path)
+    assert str(err.value) == f"{path}, line 2: ids must be non-empty strings"
 
 
 def test_gender_label_parse():
@@ -932,3 +956,7 @@ def test_synth_validation():
         synth_dataset(0, 10, 10, 4, [4])
     with pytest.raises(DataError):
         synth_dataset(0, 10, 10, 4, skew=1.5)
+    with pytest.raises(DataError, match="^dim must be >= 1$"):
+        synth_dataset(0, 10, 10, 0)
+    with pytest.raises(DataError, match=r"^p_neutral must be in \[0, 1\]$"):
+        synth_dataset(0, 10, 10, 4, p_neutral=1.5)

@@ -94,6 +94,8 @@ def test_bias_examples():
 def test_bias_requires_results():
     with pytest.raises(DataError):
         bias_at_k([], {}, k=5)
+    with pytest.raises(DataError, match="^k must be >= 1$"):
+        metric_curve([result("q", ["m"])], 0, {"m": M})
 
 
 def test_male_share_identity():
@@ -245,6 +247,8 @@ def test_occupation_bias_with_norms_outside_float_range():
     images = EmbeddingTable(["m1", "f1"], [[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(DataError, match="'nurse' has a norm"):
         occupation_bias_report(EmbeddingTable(["nurse"], [[1e-310, 0.0]]), images, {"m1": M, "f1": F})
+    with pytest.raises(DataError, match=r"^term vector shape \(3,\) does not match image dim 2$"):
+        occupation_bias_report(EmbeddingTable(["nurse"], [[1.0, 0.0, 1.0]]), images, {"m1": M, "f1": F})
 
 
 def test_occupation_bias_undefined_class():

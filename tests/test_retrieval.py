@@ -170,6 +170,10 @@ def test_retrieval_validation():
         for threads in (0, -3):
             with pytest.raises(DataError, match="threads must be >= 1"):
                 retrieve_all(texts, images, 1, threads=threads)
+    with pytest.raises(DataError, match="^text dim 1 does not match image dim 2$"):
+        retrieve_all(EmbeddingTable(["t"], [[1.0]]), images, 1)
+    with pytest.raises(DataError, match="^cannot retrieve from an empty image table$"):
+        retrieve_all(EmbeddingTable(["t"], [[1.0, 0.0]]), EmbeddingTable([], np.zeros((0, 2))), 1)
 
 
 def _check_settings(monkeypatch, texts, images, k, expect):

@@ -380,6 +380,10 @@ def test_trainer_config_validation_and_round_trip():
             TrainerConfig(lr=bad)
     with pytest.raises(DataError):
         TrainerConfig(batch_size=2)
+    with pytest.raises(DataError, match="^epochs must be >= 0$"):
+        TrainerConfig(epochs=-1)
+    with pytest.raises(DataError, match="^emb_dim must be >= 1$"):
+        TrainerConfig(emb_dim=0)
     with pytest.raises(DataError):
         TrainerConfig.from_dict({"gamma": 0.2, "bogus": 1})
 
@@ -563,6 +567,13 @@ def test_train_validation():
     tiny = synth_dataset(0, 2, 1, 4)
     with pytest.raises(DataError):
         train(tiny, TrainerConfig(epochs=1, batch_size=16, emb_dim=6))
+    cfg = TrainerConfig(epochs=1, batch_size=16, emb_dim=6)
+    flags = {tid: N for tid in ds.texts.ids[:-1]}
+    with pytest.raises(DataError, match=f"^text '{ds.texts.ids[-1]}' missing from text labels$"):
+        train(ds, cfg, text_labels=flags)
+    # Two pairs, one held out.
+    with pytest.raises(DataError, match="^training split has fewer than 2 pairs$"):
+        train(synth_dataset(0, 2, 2, 4), cfg, val_frac=0.5)
 
 
 def test_stacked_objective_equals_each_run():
