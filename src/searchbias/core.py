@@ -541,7 +541,8 @@ _SAVE_BATCH = 256  # lines formatted, then written at once: ~2.7 MB of 512-d tab
 
 
 def _write_lines(path, lines):
-    """Write an iterator of byte strings to `path`, joined _SAVE_BATCH at a time."""
+    """Write an iterable of byte strings to `path`, joined _SAVE_BATCH at a time."""
+    lines = iter(lines)
     with open(path, "wb") as fh:
         while batch := list(islice(lines, _SAVE_BATCH)):
             fh.write(b"".join(batch))
@@ -570,7 +571,7 @@ def save_embeddings(table, path):
     reloads bit-identical. Empty tables get a {"dim": d} header.
     """
     if len(table) == 0:
-        _write_lines(path, iter([b'{"dim": %d}\n' % table.dim]))
+        _write_lines(path, [b'{"dim": %d}\n' % table.dim])
         return
     _write_lines(
         path,

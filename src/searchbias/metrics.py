@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import DataError, gender_codes
-from .retrieval import RankedTable, row_norms
+from .retrieval import row_norms
 
 # The row a truth id not in the image table maps to: no ranked row and no
 # padding (-1) equals it, so it is never a hit.
@@ -59,24 +59,14 @@ class MetricCurve:
     deltas: np.ndarray = field(repr=False)
     hits: np.ndarray = field(repr=False)
 
-    def bias(self, k):
-        """Bias@k: the mean per-query skew, summed exactly."""
-        per_query = dict(zip(self.text_ids, self.deltas[:, k - 1].tolist()))
-        bias = math.fsum(per_query.values()) / len(per_query)
-        return BiasReport(k=k, bias_at_k=bias, per_query=per_query, n_queries=len(per_query))
-
-    def recall(self, k):
-        """Recall@k: the fraction of queries whose ground-truth image is in the top k."""
-        n = len(self.text_ids)
-        return RecallReport(k=k, recall_at_k=int(self.hits[:, k - 1].sum()) / n, n_queries=n)
-
     def biases(self):
-        """Bias@k at every cutoff k = 1..k_max, each the value `bias(k)` reports."""
+        """Bias@k at every cutoff k = 1..k_max: the mean per-query skew, summed exactly."""
         n = len(self.text_ids)
         return [math.fsum(column) / n for column in self.deltas.T.tolist()]
 
     def recalls(self):
-        """Recall@k at every cutoff k = 1..k_max, each the value `recall(k)` reports."""
+        """Recall@k at every cutoff k = 1..k_max: the fraction of queries whose
+        ground-truth image is in the top k."""
         n = len(self.text_ids)
         return [hits / n for hits in self.hits.sum(axis=0).tolist()]
 
@@ -84,8 +74,7 @@ class MetricCurve:
 def metric_curve(results, k_max, labels=None, truth=None):
     """Build the deltas (given `labels`) and hits (given `truth`) up to k_max in one pass.
 
-    `results` is a `RankedTable` from `retrieve_all` or a list of
-    `RetrievalResult`s, which is first turned into one. One Q x k_max matrix
+    `results` is a `RankedTable`, as `retrieve_all` returns. One Q x k_max matrix
     holds each query's label codes (+1 Male, -1 Female, 0 otherwise or past
     the end of a short ranking), read by image row, and its cumulative sums
     count both genders at every cutoff at once. Hits mark every cutoff at or
@@ -97,23 +86,22 @@ def metric_curve(results, k_max, labels=None, truth=None):
         raise DataError("k must be >= 1")
     if not results:
         raise DataError("no retrieval results to score")
-    table = results if isinstance(results, RankedTable) else RankedTable.from_results(results)
-    text_ids = list(table.text_ids)
+    text_ids = list(results.text_ids)
     if len(set(text_ids)) < len(text_ids):
         repeated = next(tid for tid, n in Counter(text_ids).items() if n > 1)
         raise DataError(f"text {repeated!r} appears more than once in the results")
-    rows = table.rows[:, :k_max]
+    rows = results.rows[:, :k_max]
     width = rows.shape[1]
     deltas = hits = None
     if labels is not None:
         codes = np.zeros((len(text_ids), k_max), dtype=np.int8)
         try:
             # One code per image row, and a last 0 that the -1 padding reads.
-            codes[:, :width] = np.append(gender_codes(table.image_ids, labels), np.int8(0))[rows]
+            codes[:, :width] = np.append(gender_codes(results.image_ids, labels), np.int8(0))[rows]
         except DataError:
             # Only ranked images need a label: name the first one without.
             ranked = rows >= 0
-            ids = table.image_ids
+            ids = results.image_ids
             codes[:, :width][ranked] = gender_codes([ids[r] for r in rows[ranked].tolist()], labels)
         n_male = np.cumsum(codes == 1, axis=1)
         n_female = np.cumsum(codes == -1, axis=1)
@@ -127,7 +115,7 @@ def metric_curve(results, k_max, labels=None, truth=None):
             raise DataError(f"text {exc.args[0]!r} has no ground-truth image") from None
         # Ids are compared as Python strings, by the index's dict lookup:
         # numpy's string arrays drop trailing NULs ("a\x00" == "a").
-        get = table.image_index.get
+        get = results.image_index.get
         truth_rows = np.fromiter((get(iid, _NO_ROW) for iid in wants), np.int64, len(wants))
         found = np.zeros((len(text_ids), k_max), dtype=bool)
         np.equal(rows, truth_rows[:, None], out=found[:, :width])
@@ -136,13 +124,18 @@ def metric_curve(results, k_max, labels=None, truth=None):
 
 
 def bias_at_k(results, labels, k):
-    """Mean per-query gender skew at cutoff k over all queries."""
-    return metric_curve(results, k, labels=labels).bias(k)
+    """Mean per-query gender skew at cutoff k over all queries, summed exactly."""
+    curve = metric_curve(results, k, labels=labels)
+    per_query = dict(zip(curve.text_ids, curve.deltas[:, -1].tolist()))
+    bias = math.fsum(per_query.values()) / len(per_query)
+    return BiasReport(k=k, bias_at_k=bias, per_query=per_query, n_queries=len(per_query))
 
 
 def recall_at_k(results, truth, k):
     """Fraction of queries whose ground-truth image appears in the top k."""
-    return metric_curve(results, k, truth=truth).recall(k)
+    curve = metric_curve(results, k, truth=truth)
+    n = len(curve.text_ids)
+    return RecallReport(k=k, recall_at_k=int(curve.hits[:, -1].sum()) / n, n_queries=n)
 
 
 def _class_means(images, labels):

@@ -10,7 +10,7 @@ by (-score, image row). The float32 product only narrows the candidates; the
 emitted (id, score) pairs come from the kernel alone, so they do not depend
 on the block size, the thread count or the BLAS build. The rankings come back
 as one `RankedTable` of image rows and scores; no per-entry Python object is
-made until a caller reads a query's `RetrievalResult`.
+made.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DataError, EmbeddingTable
+from .core import DataError
 
 # A block of queries holds at most the larger of _BLOCK_BYTES and a quarter
 # of the float32 unit image table in float32 scores, so its memory stays a
@@ -38,26 +38,14 @@ _TILE_ENTRIES = 32768
 _TINY = np.finfo(np.float64).tiny
 
 
-@dataclass
-class RetrievalResult:
-    """Top-k images for one query: (image_id, score) pairs, best first."""
-
-    text_id: str
-    ranked: list
-
-    def image_ids(self):
-        return [iid for iid, _ in self.ranked]
-
-
 @dataclass(eq=False)
-class RankedTable(Sequence):
+class RankedTable:
     """Every query's ranking as two (queries, width) arrays.
 
     rows[q, j] is the image row (in `image_ids`) of query q's (j + 1)-th best
     image and scores[q, j] its score; a ranking shorter than the width is
-    padded with row -1. `image_index` maps an image id to its row. As a
-    sequence the table holds one `RetrievalResult` per query, in text order,
-    built when it is read; it compares equal to a list of the same results.
+    padded with row -1. `image_index` maps an image id to its row. Its length
+    is the number of queries.
     """
 
     text_ids: Sequence
@@ -66,35 +54,8 @@ class RankedTable(Sequence):
     rows: np.ndarray = field(repr=False)
     scores: np.ndarray = field(repr=False)
 
-    @classmethod
-    def from_results(cls, results):
-        """The table of a list of `RetrievalResult`s: its images are their
-        distinct ids in order of first appearance."""
-        index = {}
-        width = max((len(r.ranked) for r in results), default=0)
-        rows = np.full((len(results), width), -1, dtype=np.int64)
-        scores = np.zeros(rows.shape)
-        for q, r in enumerate(results):
-            if r.ranked:
-                ids, ranked_scores = zip(*r.ranked)
-                rows[q, : len(ids)] = [index.setdefault(iid, len(index)) for iid in ids]
-                scores[q, : len(ids)] = ranked_scores
-        return cls([r.text_id for r in results], list(index), index, rows, scores)
-
     def __len__(self):
         return len(self.text_ids)
-
-    def __getitem__(self, q):
-        if isinstance(q, slice):
-            return [self[i] for i in range(*q.indices(len(self)))]
-        ids, row = self.image_ids, self.rows[q]
-        ranked = [(ids[r], s) for r, s in zip(row.tolist(), self.scores[q].tolist()) if r >= 0]
-        return RetrievalResult(text_id=self.text_ids[q], ranked=ranked)
-
-    def __eq__(self, other):
-        if isinstance(other, (RankedTable, list)):
-            return list(self) == list(other)
-        return NotImplemented
 
 
 def _tile_pairs(dim):
@@ -230,21 +191,6 @@ def _rank_block(queries, qnorms, images, inorms, units, k):
     padded[qrow, np.arange(len(qrow)) - starts[qrow]] = -exact
     keep = starts[:, None] + np.argsort(padded, axis=1, kind="stable")[:, :k]
     return irow[keep], exact[keep]
-
-
-def retrieve_topk(query, images, k, text_id="query"):
-    """Exhaustively score `query` against every image and keep the top k.
-
-    `retrieve_all` on a one-row text table: ties are broken by image file
-    order (earlier row wins), and `text_id` must be a non-empty string.
-    Returns min(k, len(images)) entries.
-    """
-    query = np.asarray(query, dtype=np.float64)
-    if query.ndim != 1 or query.shape[0] != images.dim:
-        raise DataError(f"query dim {query.shape} does not match image dim {images.dim}")
-    if not query.any():
-        raise DataError("zero query vector")
-    return retrieve_all(EmbeddingTable([text_id], query[None, :]), images, k)[0]
 
 
 def retrieve_all(texts, images, k, threads=1):

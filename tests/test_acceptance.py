@@ -23,8 +23,8 @@ from searchbias.cli import main
 from searchbias.clipper import ClipPlan, apply_clip, estimate_mi, fit_clip_plan
 from searchbias.core import EmbeddingTable, GenderLabel, load_labels, synth_dataset
 from searchbias.gender_text import CaptionGender, caption_gender, neutralize
-from searchbias.metrics import bias_at_k, recall_at_k
-from searchbias.retrieval import RetrievalResult, retrieve_all
+from searchbias.metrics import bias_at_k, metric_curve, recall_at_k
+from searchbias.retrieval import retrieve_all
 from searchbias.trainer import (
     LinearEncoders,
     TrainerConfig,
@@ -32,6 +32,8 @@ from searchbias.trainer import (
     objective,
     train,
 )
+
+from hand_ranked import ranked_table
 
 M, F, N = GenderLabel.MALE, GenderLabel.FEMALE, GenderLabel.NEUTRAL
 
@@ -42,8 +44,7 @@ def report(criterion, message):
 
 def result_from_genders(text_id, genders):
     ids = [f"{text_id}_i{j}" for j in range(len(genders))]
-    res = RetrievalResult(text_id=text_id, ranked=[(iid, 0.0) for iid in ids])
-    return res, dict(zip(ids, genders))
+    return (text_id, ids), dict(zip(ids, genders))
 
 
 def counting_delta(genders, k):
@@ -60,21 +61,20 @@ def test_criterion_1_metric_oracle_equivalence():
         n_q = int(rng.integers(1, 10))
         depth = int(rng.integers(1, 16))
         k = int(rng.integers(1, depth + 1))
-        results, labels, gender_lists, truths = [], {}, [], {}
+        rankings, labels, gender_lists, truths = [], {}, [], {}
         for q in range(n_q):
             gs = [pool[int(g)] for g in rng.integers(0, 3, depth)]
             res, labs = result_from_genders(f"q{q}", gs)
-            results.append(res)
+            rankings.append(res)
             labels.update(labs)
             gender_lists.append(gs)
             hit = rng.random() < 0.5
-            truths[f"q{q}"] = res.image_ids()[int(rng.integers(0, depth))] if hit else "none"
+            truths[f"q{q}"] = res[1][int(rng.integers(0, depth))] if hit else "none"
+        results = ranked_table(rankings)
         want_bias = math.fsum(counting_delta(gs, k) for gs in gender_lists) / n_q
         got_bias = bias_at_k(results, labels, k).bias_at_k
         assert abs(got_bias - want_bias) <= 1e-12
-        want_recall = (
-            sum(1 for q in range(n_q) if truths[f"q{q}"] in results[q].image_ids()[:k]) / n_q
-        )
+        want_recall = sum(1 for tid, ids in rankings if truths[tid] in ids[:k]) / n_q
         got_recall = recall_at_k(results, truths, k).recall_at_k
         assert abs(got_recall - want_recall) <= 1e-12
     elapsed = time.monotonic() - start
@@ -84,19 +84,19 @@ def test_criterion_1_metric_oracle_equivalence():
 
 def test_criterion_2_delta_edge_cases():
     res, labels = result_from_genders("t", [N] * 10)
-    all_neutral = bias_at_k([res], labels, 10)
+    all_neutral = bias_at_k(ranked_table([res]), labels, 10)
     assert all_neutral.bias_at_k == 0.0
     res, labels = result_from_genders("t", [M] * 10)
-    all_male = bias_at_k([res], labels, 10)
+    all_male = bias_at_k(ranked_table([res]), labels, 10)
     assert all_male.bias_at_k == 1.0
     res, labels = result_from_genders("t", [F] * 10)
-    all_female = bias_at_k([res], labels, 10)
+    all_female = bias_at_k(ranked_table([res]), labels, 10)
     assert all_female.bias_at_k == -1.0
     for rep in (all_neutral, all_male, all_female):
         assert rep.male_share == (1.0 + rep.bias_at_k) / 2.0
     # bias 0.3960 reads as a 69.8% male share among gendered results.
-    mixed = RetrievalResult("t", [("a", 0.0)])
-    share = bias_at_k([mixed], {"a": M}, 1).male_share
+    mixed = ranked_table([("t", ["a"])])
+    share = bias_at_k(mixed, {"a": M}, 1).male_share
     assert share == (1.0 + 1.0) / 2.0
     assert (1.0 + 0.3960) / 2.0 == 0.698
     report(2, "all-Neutral/Male/Female deltas are exact; male share equals (1+bias)/2")
@@ -153,10 +153,12 @@ def base_rate(labels):
 def class_offset(results, ds, k):
     """Mean over male- and female-truth queries of |Bias@k(class) - base rate|."""
     b = base_rate(ds.labels)
+    deltas = metric_curve(results, k, ds.labels).deltas[:, k - 1].tolist()
+    classes = [ds.labels[ds.truth[tid]] for tid in results.text_ids]
     offsets = []
     for gender in (M, F):
-        subset = [r for r in results if ds.labels[ds.truth[r.text_id]] is gender]
-        offsets.append(abs(bias_at_k(subset, ds.labels, k).bias_at_k - b))
+        subset = [d for d, g in zip(deltas, classes) if g is gender]
+        offsets.append(abs(math.fsum(subset) / len(subset) - b))
     return math.fsum(offsets) / len(offsets)
 
 

@@ -300,6 +300,27 @@ def test_save_embeddings_writes_the_json_dumps_bytes(tmp_path):
     assert path.read_bytes() == _json_lines([{"dim": 3}])
 
 
+def test_line_writer_iterates_its_lines_once(tmp_path):
+    """A list or other re-iterable is read once across every batch, so no
+    batch starts again at the first line (which never ended)."""
+
+    class Once:
+        def __init__(self, lines):
+            self.lines, self.used = lines, False
+
+        def __iter__(self):
+            assert not self.used, "the lines were iterated a second time"
+            self.used = True
+            return iter(self.lines)
+
+    lines = [b"%d\n" % i for i in range(2 * core._SAVE_BATCH + 1)]
+    path = tmp_path / "lines"
+    core._write_lines(path, Once(lines))
+    assert path.read_bytes() == b"".join(lines)
+    core._write_lines(path, [b"a\n"])
+    assert path.read_bytes() == b"a\n"
+
+
 def _count_parses(monkeypatch):
     """The paths of the JSONL parses made from now on, by any loader."""
     calls = []

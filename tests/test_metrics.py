@@ -13,24 +13,22 @@ from searchbias.metrics import (
     occupation_bias_report,
     recall_at_k,
 )
-from searchbias.retrieval import RetrievalResult, retrieve_all
+from searchbias.retrieval import retrieve_all
+
+from hand_ranked import ranked_table
 
 M, F, N = GenderLabel.MALE, GenderLabel.FEMALE, GenderLabel.NEUTRAL
 
 
-def result(text_id, image_ids):
-    return RetrievalResult(text_id=text_id, ranked=[(iid, 0.0) for iid in image_ids])
-
-
 def from_genders(text_id, genders):
-    """Build a result plus labels straight from a gender sequence."""
+    """Build a (text id, image ids) ranking plus labels straight from a gender sequence."""
     ids = [f"{text_id}_img{j}" for j in range(len(genders))]
-    return result(text_id, ids), dict(zip(ids, genders))
+    return (text_id, ids), dict(zip(ids, genders))
 
 
 def delta(res, labels, k):
-    """One result's skew at cutoff k, read from its metric curve."""
-    return metric_curve([res], k, labels).deltas[0, k - 1]
+    """One ranking's skew at cutoff k, read from its metric curve."""
+    return metric_curve(ranked_table([res]), k, labels).deltas[0, k - 1]
 
 
 def gap(term, images, labels):
@@ -73,7 +71,7 @@ def test_delta_truncates_to_k():
 
 
 def test_delta_missing_label():
-    res = result("t", ["unknown"])
+    res = ("t", ["unknown"])
     with pytest.raises(DataError, match="unknown"):
         delta(res, {}, 1)
 
@@ -81,40 +79,40 @@ def test_delta_missing_label():
 def test_bias_examples():
     r1, l1 = from_genders("t1", [M, M])
     r2, l2 = from_genders("t2", [F, F])
-    rep = bias_at_k([r1, r2], {**l1, **l2}, k=2)
+    rep = bias_at_k(ranked_table([r1, r2]), {**l1, **l2}, k=2)
     assert rep.bias_at_k == 0.0
     assert rep.per_query == {"t1": 1.0, "t2": -1.0}
     assert rep.n_queries == 2
 
     res, labels = from_genders("t", [M, F, M, M, N, N, N, N, N, N])
-    rep = bias_at_k([res], labels, k=10)
+    rep = bias_at_k(ranked_table([res]), labels, k=10)
     assert rep.bias_at_k == 0.5
 
 
 def test_bias_requires_results():
     with pytest.raises(DataError):
-        bias_at_k([], {}, k=5)
+        bias_at_k(ranked_table([]), {}, k=5)
     with pytest.raises(DataError, match="^k must be >= 1$"):
-        metric_curve([result("q", ["m"])], 0, {"m": M})
+        metric_curve(ranked_table([("q", ["m"])]), 0, {"m": M})
 
 
 def test_male_share_identity():
     res, labels = from_genders("t", [M, M, F])
-    rep = bias_at_k([res], labels, k=3)
+    rep = bias_at_k(ranked_table([res]), labels, k=3)
     assert rep.male_share == (1.0 + rep.bias_at_k) / 2.0
     # The headline interpretation: bias 0.3960 means ~70% male share.
     assert (1.0 + 0.3960) / 2.0 == 0.698
 
 
 def test_recall_examples():
-    results = [result("t1", ["a", "b"]), result("t2", ["c", "d"])]
+    results = ranked_table([("t1", ["a", "b"]), ("t2", ["c", "d"])])
     assert recall_at_k(results, {"t1": "a", "t2": "c"}, k=1).recall_at_k == 1.0
     assert recall_at_k(results, {"t1": "z", "t2": "z"}, k=2).recall_at_k == 0.0
-    results = [result(f"t{j}", ["a", "b", "c", "d", "e"]) for j in range(4)]
+    results = ranked_table([(f"t{j}", ["a", "b", "c", "d", "e"]) for j in range(4)])
     truth = {"t0": "a", "t1": "e", "t2": "z", "t3": "y"}
     assert recall_at_k(results, truth, k=5).recall_at_k == 0.5
     with pytest.raises(DataError, match="t9"):
-        recall_at_k([result("t9", ["a"])], {}, k=1)
+        recall_at_k(ranked_table([("t9", ["a"])]), {}, k=1)
 
 
 def test_oracle_equivalence_random_configs():
@@ -124,17 +122,18 @@ def test_oracle_equivalence_random_configs():
         n_q = int(rng.integers(1, 12))
         depth = int(rng.integers(1, 15))
         k = int(rng.integers(1, depth + 1))
-        gender_lists, results, labels, rank_lists, truths = [], [], {}, [], []
+        gender_lists, rankings, labels, rank_lists, truths = [], [], {}, [], []
         for q in range(n_q):
             gs = [genders[int(g)] for g in rng.integers(0, 3, depth)]
             res, labs = from_genders(f"q{q}", gs)
             gender_lists.append(gs)
-            results.append(res)
+            rankings.append(res)
             labels.update(labs)
-            ids = res.image_ids()
+            ids = res[1]
             rank_lists.append(ids)
             truths.append(ids[int(rng.integers(0, depth))] if rng.random() < 0.5 else "miss")
         truth = {f"q{q}": truths[q] for q in range(n_q)}
+        results = ranked_table(rankings)
         assert abs(bias_at_k(results, labels, k).bias_at_k - oracle_bias(gender_lists, k)) <= 1e-12
         assert abs(
             recall_at_k(results, truth, k).recall_at_k - oracle_recall(rank_lists, truths, k)
@@ -153,12 +152,12 @@ def test_hits_compare_ids_as_python_strings():
         [],
     ]
     truths = ["a\x00", "x", "z", "c", "h", "f"]
-    results = [result(f"q{q}", ids) for q, ids in enumerate(rank_lists)]
+    results = ranked_table([(f"q{q}", ids) for q, ids in enumerate(rank_lists)])
     truth = {f"q{q}": want for q, want in enumerate(truths)}
     for k in range(1, 6):
         got = recall_at_k(results, truth, k).recall_at_k
         assert got == oracle_recall(rank_lists, truths, k)
-    nul = [result("t", ["a", "a\x00"])]
+    nul = ranked_table([("t", ["a", "a\x00"])])
     assert recall_at_k(nul, {"t": "a\x00"}, 1).recall_at_k == 0.0
     assert recall_at_k(nul, {"t": "a\x00"}, 2).recall_at_k == 1.0
 
@@ -174,16 +173,16 @@ def test_antisymmetry_under_label_swap():
 
 def test_query_order_invariance_and_truncation_consistency():
     rng = np.random.default_rng(10)
-    results, labels = [], {}
+    rankings, labels = [], {}
     for q in range(8):
         gs = [[M, F, N][int(g)] for g in rng.integers(0, 3, 12)]
         res, labs = from_genders(f"q{q}", gs)
-        results.append(res)
+        rankings.append(res)
         labels.update(labs)
-    rep = bias_at_k(results, labels, k=7)
-    rev = bias_at_k(results[::-1], labels, k=7)
+    rep = bias_at_k(ranked_table(rankings), labels, k=7)
+    rev = bias_at_k(ranked_table(rankings[::-1]), labels, k=7)
     assert rep.bias_at_k == rev.bias_at_k
-    truncated = [RetrievalResult(r.text_id, r.ranked[:7]) for r in results]
+    truncated = ranked_table([(tid, ids[:7]) for tid, ids in rankings])
     assert bias_at_k(truncated, labels, k=7).bias_at_k == rep.bias_at_k
 
 
@@ -278,31 +277,29 @@ def test_occupation_report_skips_and_warns():
             occupation_bias_report(terms, images, labels)
 
 
-def test_curve_of_a_ranked_table_equals_the_curve_of_its_results():
-    """metric_curve over retrieve_all's table and over the same rankings as a
-    list of RetrievalResults gives the same bytes, with cutoffs past the image
-    count, a truth id only a trailing NUL away from an image id, and truth ids
-    no image has."""
+def test_curve_of_a_ranked_table_matches_counting_oracles():
+    """metric_curve over retrieve_all's table equals the counting oracles at
+    every cutoff, with cutoffs past the image count, a truth id only a
+    trailing NUL away from an image id, and truth ids no image has."""
     rng = np.random.default_rng(13)
     ids = ["a", "a\x00"] + [f"i{j}" for j in range(7)]
     images = EmbeddingTable(ids, rng.standard_normal((len(ids), 4)))
     texts = EmbeddingTable([f"t{j}" for j in range(15)], rng.standard_normal((15, 4)))
     labels = {iid: [M, F, N][j % 3] for j, iid in enumerate(ids)}
     truth = {tid: (ids + ["missing", "a\x00\x00"])[j % 11] for j, tid in enumerate(texts.ids)}
+    truths = [truth[t] for t in texts.ids]
     n = len(ids)
     for k in (1, 4, n, n + 3):
         table = retrieve_all(texts, images, k)
-        rebuilt = [RetrievalResult(r.text_id, list(r.ranked)) for r in table]
+        ranked = [[ids[r] for r in row] for row in table.rows.tolist()]
+        genders = [[labels[iid] for iid in row] for row in ranked]
         for k_max in sorted({1, k, n + 5}):
             got = metric_curve(table, k_max, labels, truth)
-            want = metric_curve(rebuilt, k_max, labels, truth)
-            assert got.text_ids == want.text_ids == list(texts.ids)
-            assert got.deltas.tobytes() == want.deltas.tobytes()
-            assert got.hits.tobytes() == want.hits.tobytes()
-            ranked = [r.image_ids() for r in rebuilt]
-            truths = [truth[t] for t in texts.ids]
-            for cut in range(1, k_max + 1):
-                assert got.recall(cut).recall_at_k == oracle_recall(ranked, truths, cut)
+            assert got.text_ids == list(texts.ids)
+            assert got.deltas.tolist() == [
+                [oracle_delta(gs, cut) for cut in range(1, k_max + 1)] for gs in genders
+            ]
+            assert got.recalls() == [oracle_recall(ranked, truths, cut) for cut in range(1, k_max + 1)]
 
 
 def test_only_ranked_images_need_a_label():
@@ -311,7 +308,7 @@ def test_only_ranked_images_need_a_label():
     images = EmbeddingTable(["m", "f", "u", "v"], [[1.0, 0.0], [0.9, 0.1], [-1.0, 0.0], [0.0, 1.0]])
     texts = EmbeddingTable(["q1", "q2"], [[1.0, 0.05], [0.2, 1.0]])
     table = retrieve_all(texts, images, 2)
-    assert [r.image_ids() for r in table] == [["m", "f"], ["v", "f"]]
+    assert [[images.ids[r] for r in row] for row in table.rows.tolist()] == [["m", "f"], ["v", "f"]]
     labels = {"m": M, "f": F, "v": N}
     assert metric_curve(table, 2, labels).deltas.tolist() == [[1.0, 0.0], [0.0, -1.0]]
     for bad in ("f", "v"):
@@ -322,15 +319,13 @@ def test_only_ranked_images_need_a_label():
         metric_curve(table, 2, {"m": M})
     # q2 ranks v (row 3) before f (row 1).
     with pytest.raises(DataError, match="image 'v' has no gender label"):
-        metric_curve(table[1:], 2, {"m": M})
-    with pytest.raises(DataError, match="image 'v' has no gender label"):
         metric_curve(retrieve_all(EmbeddingTable(["q2"], [[0.2, 1.0]]), images, 2), 2, {"m": M})
 
 
 def test_repeated_text_id_is_refused():
     """Bias@K keyed its per-query values by text id, so a repeated id dropped
     rows from Bias@K but not from Recall@K; such results are refused."""
-    results = [result("q", ["m"]), result("q", ["f"])]
+    results = ranked_table([("q", ["m"]), ("q", ["f"])])
     labels, truth = {"m": M, "f": F}, {"q": "m"}
     for curve in (
         lambda: metric_curve(results, 1, labels, truth),

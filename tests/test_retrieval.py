@@ -10,7 +10,7 @@ import pytest
 
 from searchbias import retrieval
 from searchbias.core import DataError, EmbeddingTable
-from searchbias.retrieval import RankedTable, RetrievalResult, retrieve_all, retrieve_topk
+from searchbias.retrieval import retrieve_all
 
 
 def oracle_topk(query, images, k):
@@ -62,6 +62,20 @@ def _oracle(query, images, k):
     return [(iid, s) for s, _, iid in scored[:k]]
 
 
+def pairs(table):
+    """Each query's (image id, score) pairs, best first, read from a RankedTable."""
+    ids = table.image_ids
+    return [
+        [(ids[r], s) for r, s in zip(rows, scores)]
+        for rows, scores in zip(table.rows.tolist(), table.scores.tolist())
+    ]
+
+
+def topk(query, images, k, text_id="query"):
+    """One query's pairs: `retrieve_all` on a one-row text table."""
+    return pairs(retrieve_all(EmbeddingTable([text_id], [query]), images, k))[0]
+
+
 def test_cosine_stays_clamped():
     """A vector against itself and scaled copies scores within [-1, 1].
 
@@ -72,23 +86,19 @@ def test_cosine_stays_clamped():
     scales = [1.0, 2.0, 0.5, 3.0, 1e-3, -1.0, -7.0]
     images = EmbeddingTable([f"x{i}" for i in range(len(scales))], [c * v for c in scales])
     for query in (v, -v, 4.0 * v):
-        scores = [s for _, s in retrieve_topk(query, images, k=len(scales)).ranked]
+        scores = [s for _, s in topk(query, images, k=len(scales))]
         assert all(-1.0 <= s <= 1.0 for s in scores)
         assert sorted(map(abs, scores)) == [1.0] * len(scales)
 
 
 def test_topk_exact_example():
     images = EmbeddingTable(["a", "b", "c"], [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-    res = retrieve_topk([1.0, 0.0], images, k=2)
-    assert res.ranked == [("a", 1.0), ("b", 0.0)]
-    assert res.image_ids() == ["a", "b"]
+    assert topk([1.0, 0.0], images, k=2) == [("a", 1.0), ("b", 0.0)]
 
 
 def test_tie_break_is_file_order():
     images = EmbeddingTable(["z", "m", "a"], [[2.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
-    res = retrieve_topk([1.0, 0.0], images, k=3)
-    assert res.image_ids() == ["z", "m", "a"]
-    assert all(score == 1.0 for _, score in res.ranked)
+    assert topk([1.0, 0.0], images, k=3) == [("z", 1.0), ("m", 1.0), ("a", 1.0)]
 
 
 def test_matches_bruteforce_oracle():
@@ -98,26 +108,27 @@ def test_matches_bruteforce_oracle():
         images = EmbeddingTable([f"i{j}" for j in range(n)], rng.standard_normal((n, d)))
         query = rng.standard_normal(d)
         k = int(rng.integers(1, n + 2))
-        res = retrieve_topk(query, images, k)
-        assert res.image_ids() == oracle_topk(query, images, k)
-        assert res.ranked == _oracle(query, images, k)
-        assert len(res.ranked) == min(k, n)
-        scores = [s for _, s in res.ranked]
+        ranked = topk(query, images, k)
+        ids = [iid for iid, _ in ranked]
+        assert ids == oracle_topk(query, images, k)
+        assert ranked == _oracle(query, images, k)
+        assert len(ranked) == min(k, n)
+        scores = [s for _, s in ranked]
         assert all(-1.0 <= s <= 1.0 for s in scores)
         assert all(scores[i] >= scores[i + 1] for i in range(len(scores) - 1))
-        assert len(set(res.image_ids())) == len(res.ranked)
+        assert len(set(ids)) == len(ranked)
 
 
 def test_scale_invariance():
     rng = np.random.default_rng(5)
     images = EmbeddingTable([f"i{j}" for j in range(40)], rng.standard_normal((40, 6)))
     q = rng.standard_normal(6)
-    base = retrieve_topk(q, images, 10)
+    base = topk(q, images, 10)
     # Power-of-two scaling is exact in binary floating point: identical bytes.
-    assert retrieve_topk(4.0 * q, images, 10).ranked == base.ranked
-    assert retrieve_topk(0.125 * q, images, 10).ranked == base.ranked
+    assert topk(4.0 * q, images, 10) == base
+    assert topk(0.125 * q, images, 10) == base
     # Arbitrary positive scaling must at least preserve the ranking.
-    assert retrieve_topk(3.7 * q, images, 10).image_ids() == base.image_ids()
+    assert [iid for iid, _ in topk(3.7 * q, images, 10)] == [iid for iid, _ in base]
 
 
 def test_monotone_containment():
@@ -125,8 +136,8 @@ def test_monotone_containment():
     images = EmbeddingTable([f"i{j}" for j in range(25)], rng.standard_normal((25, 4)))
     q = rng.standard_normal(4)
     for k in range(1, 25):
-        small = set(retrieve_topk(q, images, k).image_ids())
-        big = set(retrieve_topk(q, images, k + 1).image_ids())
+        small = {iid for iid, _ in topk(q, images, k)}
+        big = {iid for iid, _ in topk(q, images, k + 1)}
         assert small <= big
 
 
@@ -135,17 +146,18 @@ def test_retrieve_all_order_and_parallel_identity():
     images = EmbeddingTable([f"i{j}" for j in range(30)], rng.standard_normal((30, 5)))
     texts = EmbeddingTable([f"t{j}" for j in range(12)], rng.standard_normal((12, 5)))
     serial = retrieve_all(texts, images, k=5, threads=1)
-    assert [r.text_id for r in serial] == list(texts.ids)
+    assert list(serial.text_ids) == list(texts.ids)
     parallel = retrieve_all(texts, images, k=5, threads=4)
-    assert [r.ranked for r in parallel] == [r.ranked for r in serial]
-    single = [retrieve_topk(texts.row(t), images, 5, text_id=t) for t in texts.ids]
-    assert [r.ranked for r in single] == [r.ranked for r in serial]
+    assert pairs(parallel) == pairs(serial)
+    single = [topk(texts.row(t), images, 5, text_id=t) for t in texts.ids]
+    assert single == pairs(serial)
 
 
 def test_retrieve_all_empty_texts():
     images = EmbeddingTable(["a"], [[1.0]])
     texts = EmbeddingTable([], np.zeros((0, 1)))
-    assert retrieve_all(texts, images, k=3) == []
+    empty = retrieve_all(texts, images, k=3)
+    assert len(empty) == 0 and pairs(empty) == []
 
 
 def test_retrieve_all_refuses_k_below_one_whatever_the_texts_hold():
@@ -158,14 +170,10 @@ def test_retrieve_all_refuses_k_below_one_whatever_the_texts_hold():
 
 def test_retrieval_validation():
     images = EmbeddingTable(["a"], [[1.0, 0.0]])
-    with pytest.raises(DataError):
-        retrieve_topk([1.0], images, 1)
-    with pytest.raises(DataError):
-        retrieve_topk([1.0, 0.0], images, 0)
-    with pytest.raises(DataError, match="does not match image dim"):
-        retrieve_topk(1.0, images, 1)
-    with pytest.raises(DataError, match="must be a non-empty string"):
-        retrieve_topk([1.0, 0.0], images, 1, text_id="")
+    with pytest.raises(DataError, match="^all-zero vector at id 't'$"):
+        retrieve_all(EmbeddingTable(["t"], [[0.0, 0.0]]), images, 1)
+    with pytest.raises(DataError, match="^id at row 0 must be a non-empty string, got ''$"):
+        retrieve_all(EmbeddingTable([""], [[1.0, 0.0]]), images, 1)
     for texts in (EmbeddingTable([], np.zeros((0, 2))), EmbeddingTable(["t"], [[1.0, 0.0]])):
         for threads in (0, -3):
             with pytest.raises(DataError, match="threads must be >= 1"):
@@ -194,7 +202,7 @@ def _check_settings(monkeypatch, texts, images, k, expect):
             monkeypatch.setattr(retrieval, name, value)
         for threads in (1, 3):
             got = retrieve_all(texts, images, k, threads=threads)
-            assert [r.ranked for r in got] == expect, (k, setting, threads)
+            assert pairs(got) == expect, (k, setting, threads)
         monkeypatch.undo()
 
 
@@ -222,7 +230,7 @@ def test_block_size_and_threads_do_not_change_bytes(monkeypatch):
     ])
     texts = EmbeddingTable([f"t{j}" for j in range(len(queries))], queries)
     for k in (1, 3, 4, 7, 22, len(vectors), len(vectors) + 5):
-        single = [retrieve_topk(texts.row(t), images, k, text_id=t).ranked for t in texts.ids]
+        single = [topk(texts.row(t), images, k, text_id=t) for t in texts.ids]
         assert single == [_oracle(texts.row(t), images, k) for t in texts.ids]
         _check_settings(monkeypatch, texts, images, k, single)
         # Repeated queries rank identically; tied images keep file order.
@@ -305,8 +313,8 @@ def test_norms_outside_float_range_give_true_cosines():
     images = EmbeddingTable(["big", "small", "plain", "tiny", "huge"], vectors)
     for query in ([1.0, 0.0], [1e-200, 1e-200], [-1e300, 1e300], [0.6, 0.8]):
         for k in range(1, 6):
-            assert retrieve_topk(query, images, k).ranked == _oracle(query, images, k)
-    scores = dict(retrieve_topk([1.0, 0.0], images, 5).ranked)
+            assert topk(query, images, k) == _oracle(query, images, k)
+    scores = dict(topk([1.0, 0.0], images, 5))
     assert scores["big"] == pytest.approx(math.sqrt(0.5), abs=1e-15)
     assert scores["small"] == pytest.approx(math.sqrt(0.5), abs=1e-15)
     # Power-of-two scaling leaves the unit rows, so the bytes, as they are,
@@ -321,60 +329,41 @@ def test_norms_outside_float_range_give_true_cosines():
         images = EmbeddingTable([f"i{j}" for j in range(20)], scaled)
         texts_scaled = EmbeddingTable(texts.ids, texts.vectors * scale)
         got = retrieve_all(texts_scaled, images, 6)
-        assert [r.ranked for r in got] == [r.ranked for r in base]
+        assert pairs(got) == pairs(base)
 
 
 def test_norm_that_is_not_a_normal_float_is_refused():
     """A row whose norm overflows, or is subnormal, is named, never scored."""
     images = EmbeddingTable(["ok", "huge"], [[1.0, 0.0], [1.5e308, 1.5e308]])
     with pytest.raises(DataError, match="'huge' has a norm outside the float64 range"):
-        retrieve_topk([1.0, 0.0], images, 1)
+        topk([1.0, 0.0], images, 1)
     images = EmbeddingTable(["ok", "sub"], [[1.0, 0.0], [2.0**-1074, 2.0**-1074]])
     with pytest.raises(DataError, match="'sub' has a norm"):
-        retrieve_topk([1.0, 0.0], images, 1)
+        topk([1.0, 0.0], images, 1)
     images = EmbeddingTable(["ok"], [[1.0, 0.0]])
     with pytest.raises(DataError, match="'q' has a norm"):
-        retrieve_topk([1e-310, 0.0], images, 1, text_id="q")
-    with pytest.raises(DataError, match="zero query vector"):
-        retrieve_topk([0.0, 0.0], images, 1)
+        topk([1e-310, 0.0], images, 1, text_id="q")
 
 
-def test_ranked_table_reads_as_the_list_of_its_results():
-    """retrieve_all's table holds image rows and scores; as a sequence it is
-    one RetrievalResult per query, equal to per-query retrieval."""
+def test_ranked_table_holds_what_per_query_retrieval_gives():
+    """retrieve_all's table holds image rows and scores; each query's row
+    equals that query's own one-row retrieval."""
     rng = np.random.default_rng(14)
     images = EmbeddingTable([f"i{j}" for j in range(6)], rng.standard_normal((6, 3)))
     texts = EmbeddingTable([f"t{j}" for j in range(4)], rng.standard_normal((4, 3)))
     for k in (3, 6, 9):
         table = retrieve_all(texts, images, k)
-        single = [retrieve_topk(texts.row(t), images, k, text_id=t) for t in texts.ids]
+        single = [topk(texts.row(t), images, k, text_id=t) for t in texts.ids]
         width = min(k, len(images))
         assert table.rows.shape == table.scores.shape == (4, width)
         assert table.rows.dtype == np.int64 and table.scores.dtype == np.float64
-        assert len(table) == 4 and table == single and list(table) == single
-        assert table[-1] == single[-1] and table[1:3] == single[1:3]
+        assert len(table) == 4 and list(table.text_ids) == list(texts.ids)
         assert [[images.ids[r] for r in row] for row in table.rows.tolist()] == [
-            r.image_ids() for r in single
+            [iid for iid, _ in ranked] for ranked in single
         ]
-        assert table.scores.tolist() == [[s for _, s in r.ranked] for r in single]
-        with pytest.raises(IndexError):
-            table[4]
+        assert table.scores.tolist() == [[s for _, s in ranked] for ranked in single]
     empty = retrieve_all(EmbeddingTable([], np.zeros((0, 3))), images, 9)
-    assert empty == [] and not empty and empty.rows.shape == (0, 6)
-
-
-def test_ranked_table_of_hand_built_results_pads_ragged_rows():
-    """A list of results becomes a table over its distinct ids, in order of
-    first appearance, with short rankings padded by row -1."""
-    ragged = [
-        RetrievalResult("a", [("x", 0.5), ("y", 0.25), ("x", -0.5)]),
-        RetrievalResult("b", []),
-        RetrievalResult("c", [("y\x00", 1.0)]),
-    ]
-    table = RankedTable.from_results(ragged)
-    assert table.image_ids == ["x", "y", "y\x00"]
-    assert table.rows.tolist() == [[0, 1, 0], [-1, -1, -1], [2, -1, -1]]
-    assert table == ragged and table[1].ranked == []
+    assert len(empty) == 0 and not empty and empty.rows.shape == (0, 6)
 
 
 def _lexsort_reference(texts, images, k):
