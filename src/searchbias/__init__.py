@@ -30,9 +30,8 @@ from .metrics import (
 )
 from .clipper import ClipPlan, apply_clip, estimate_mi, fit_clip_plan
 from .gender_text import (
-    CaptionGender,
     GenderLexicon,
-    caption_gender,
+    caption_hits,
     image_gender,
     load_captions,
     neutralize,
@@ -49,7 +48,6 @@ from .trainer import (
 
 __all__ = [
     "BiasReport",
-    "CaptionGender",
     "ClipPlan",
     "DataError",
     "Dataset",
@@ -66,7 +64,7 @@ __all__ = [
     "UndefinedBiasError",
     "apply_clip",
     "bias_at_k",
-    "caption_gender",
+    "caption_hits",
     "estimate_mi",
     "fit_clip_plan",
     "gender_codes",

@@ -198,7 +198,7 @@ def cmd_label(args):
     _, image_ids, texts = load_captions(args.captions)
     if not texts:
         _warn(f"{args.captions}: no captions; writing an empty labels file")
-    labels = image_gender(texts, lexicon, image_ids)
+    labels = image_gender(texts, image_ids, lexicon)
     save_labels(labels, _out_path(args, "labels.jsonl"))
     print(f"label: {len(labels)} images labeled from {len(texts)} captions")
 

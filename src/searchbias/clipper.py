@@ -213,8 +213,6 @@ def apply_clip(table, plan):
     if table.dim != plan.dim:
         raise DataError(f"table dim {table.dim} does not match plan dim {plan.dim}")
     keep = plan.kept_dims()
-    if len(table) == 0:
-        return EmbeddingTable([], np.empty((0, len(keep))))
     # `take` keeps the rows C-ordered; `vectors[:, keep]` would give an F-ordered
     # copy, so every later row gather would be strided.
     clipped = np.take(table.vectors, keep, axis=1)

@@ -340,12 +340,14 @@ def _cached(cache, path, kind, read):
 
 
 def _store(cache, name, size, write):
-    """Store the entry `name`, `size` bytes that `write(fh)` writes, then
-    evict the least recently used entries until the cache is within its cap.
-    The cache only saves time, so an OSError ends the store or the eviction
-    without a message, and nothing is stored in a directory that other users
-    may write to, or an entry that alone exceeds the cap, which would evict
-    every entry and then itself."""
+    """Store the entry `name`, which `write(fh)` writes and which holds at
+    least `size` bytes, then evict the least recently used entries until the
+    cache is within its cap. The cache only saves time, so an OSError ends
+    the store or the eviction without a message, and nothing is stored in a
+    directory that other users may write to, or an entry that alone exceeds
+    the cap, which would evict every entry and then itself: `size` skips the
+    write of an entry known to be too large, the bytes written catch the
+    rest."""
     if size > _CACHE_CAP_BYTES:
         return
     try:
@@ -356,6 +358,10 @@ def _store(cache, name, size, write):
         try:
             with os.fdopen(fd, "wb") as fh:
                 write(fh)
+                written = fh.tell()
+            if written > _CACHE_CAP_BYTES:
+                os.unlink(tmp)
+                return
             # Readers see the whole entry or none of it.
             os.replace(tmp, os.path.join(cache, name))
         except BaseException:
@@ -386,7 +392,7 @@ def _load_cached(path, kind, parse, read, entry):
     its digest. `read(fh)` decodes a binary file holding an entry of kind
     `kind`, checking it as strictly as `parse` checks the input.
     `entry(value)` is the (size, write) pair `_store` takes for the value's
-    entry, or None if the value is not to be stored.
+    entry, `size` a lower bound on what `write` writes, or None if the value is not to be stored.
     """
     cache = _cache_dir()
     regular = False
@@ -472,6 +478,7 @@ def load_embeddings(path, expected_dim=None):
             np.lib.format.write_array(fh, table.vectors, allow_pickle=False)
             fh.write(orjson.dumps(table.ids))
 
+        # The matrix alone: the .npy header and the ids come on top.
         return table.vectors.nbytes, write
 
     return _load_cached(

@@ -2,7 +2,8 @@
 
 Tokenization is ASCII lowercasing with non-alphabetic delimiters, and matching
 is exact token membership (no stemming), so possessives like "man's" match via
-the stem token "man". Neutralization rewrites gendered tokens to neutral ones
+the stem token "man". `caption_hits` labels each caption and `image_gender`
+each image. Neutralization rewrites gendered tokens to neutral ones
 ("man" -> "person", "mother" -> "parent") and removes bare attributive
 "male"/"female"; the result never contains a gendered token and re-running the
 rewrite is a no-op.
@@ -16,7 +17,6 @@ import json
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from enum import Enum
 from types import MappingProxyType
 
 import numpy as np
@@ -55,9 +55,6 @@ _FEMININE = frozenset(
         "wife",
         "girlfriend",
     ]
-)
-_NEUTRAL = frozenset(
-    ["person", "people", "human", "adult", "baby", "child", "kid", "children", "guy", "teenage", "crowd"]
 )
 
 # None means the token is dropped when used attributively ("a female surfer").
@@ -123,7 +120,7 @@ def _whole_words(words):
 
 @dataclass(frozen=True)
 class GenderLexicon:
-    """Masculine/feminine/neutral word sets plus the neutral replacement map.
+    """Masculine and feminine word sets plus the neutral replacement map.
 
     Instances are immutable: the word sets are frozensets and `replacement`
     is a read-only mapping, so `default()` can share one instance.
@@ -131,16 +128,13 @@ class GenderLexicon:
 
     masculine: frozenset = _MASCULINE
     feminine: frozenset = _FEMININE
-    neutral: frozenset = _NEUTRAL
     replacement: Mapping = field(default_factory=lambda: dict(_REPLACEMENT))
 
     def __post_init__(self):
         masc = frozenset(w.lower() for w in self.masculine)
         fem = frozenset(w.lower() for w in self.feminine)
-        neu = frozenset(w.lower() for w in self.neutral)
         object.__setattr__(self, "masculine", masc)
         object.__setattr__(self, "feminine", fem)
-        object.__setattr__(self, "neutral", neu)
         if masc & fem:
             raise DataError(f"words in both masculine and feminine lists: {sorted(masc & fem)}")
         gendered = masc | fem
@@ -166,15 +160,13 @@ class GenderLexicon:
         object.__setattr__(self, "_scan_masculine", {w.encode("ascii") for w in letters if w in masc})
 
     def __hash__(self):
-        # Agrees with the generated __eq__, which compares the four fields;
+        # Agrees with the generated __eq__, which compares the three fields;
         # a mappingproxy is not hashable, so its items stand in for it.
-        return hash(
-            (self.masculine, self.feminine, self.neutral, frozenset(self.replacement.items()))
-        )
+        return hash((self.masculine, self.feminine, frozenset(self.replacement.items())))
 
     def __reduce__(self):
         # A mappingproxy does not pickle; the constructor arguments do.
-        return type(self), (self.masculine, self.feminine, self.neutral, dict(self.replacement))
+        return type(self), (self.masculine, self.feminine, dict(self.replacement))
 
     @classmethod
     @functools.cache
@@ -187,7 +179,6 @@ class GenderLexicon:
             {
                 "masculine": sorted(self.masculine),
                 "feminine": sorted(self.feminine),
-                "neutral": sorted(self.neutral),
                 "replacement": {k: self.replacement[k] for k in sorted(self.replacement)},
             },
             sort_keys=True,
@@ -195,7 +186,8 @@ class GenderLexicon:
 
     @classmethod
     def from_json(cls, text):
-        lists = ("masculine", "feminine", "neutral")
+        # Other keys, such as the "neutral" list of older files, are ignored.
+        lists = ("masculine", "feminine")
         obj = _json_object(text, "lexicon", (*lists, "replacement"))
         for key in lists:
             if not isinstance(obj[key], list) or not all(isinstance(w, str) for w in obj[key]):
@@ -212,13 +204,6 @@ class GenderLexicon:
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_json() + "\n")
-
-
-class CaptionGender(Enum):
-    HAS_MASC = "has_masc"
-    HAS_FEM = "has_fem"
-    HAS_BOTH = "has_both"
-    NONE = "none"
 
 
 def caption_hits(texts, lexicon=None):
@@ -254,40 +239,20 @@ def caption_hits(texts, lexicon=None):
     return masc, fem
 
 
-def caption_gender(text, lexicon=None):
-    """Which gendered word sets a caption hits (exact token match)."""
-    (has_masc,), (has_fem,) = caption_hits([text], lexicon)
-    if has_masc and has_fem:
-        return CaptionGender.HAS_BOTH
-    if has_masc:
-        return CaptionGender.HAS_MASC
-    if has_fem:
-        return CaptionGender.HAS_FEM
-    return CaptionGender.NONE
-
-
 # An image's label by (any caption masculine) + 2 * (any caption feminine).
 _IMAGE_LABELS = (GenderLabel.NEUTRAL, GenderLabel.MALE, GenderLabel.FEMALE, GenderLabel.NEUTRAL)
 
 
-def image_gender(caption_texts, lexicon=None, image_ids=None):
-    """Aggregate captions into image gender labels.
+def image_gender(caption_texts, image_ids, lexicon=None):
+    """Aggregate captions into image gender labels, given one image id per
+    caption; returns {image id: label} in the order each id first appears.
 
     An image is Male iff at least one of its captions mentions a masculine
     word and none mentions a feminine word; Female symmetrically; Neutral
     otherwise. Order of the captions does not matter.
-
-    Given `image_ids`, one per caption, returns {image id: label} in the order
-    each id first appears. Without them, every caption is one image's, and
-    that image's label is returned.
     """
     texts = list(caption_texts)
-    one_image = image_ids is None
-    if one_image:
-        if not texts:
-            raise DataError("image_gender needs at least one caption")
-        image_ids = [None] * len(texts)
-    elif len(image_ids) != len(texts):
+    if len(image_ids) != len(texts):
         raise ValueError(f"{len(image_ids)} image ids for {len(texts)} captions")
     masc, fem = caption_hits(texts, lexicon)
     # One dict maps each image id to its row, then to its label.
@@ -300,7 +265,7 @@ def image_gender(caption_texts, lexicon=None, image_ids=None):
     codes[image_rows[fem]] |= 2
     for image_id, code in zip(labels, codes.tolist()):
         labels[image_id] = _IMAGE_LABELS[code]
-    return labels[None] if one_image else labels
+    return labels
 
 
 def _match_case(template, word):

@@ -196,6 +196,14 @@ def test_clip_fit_apply_and_composition_equivalence(data_dir, tmp_path):
     clipped = load_embeddings(img_dir / "clipped.jsonl")
     assert clipped.dim == 10
 
+    # A header-only table clips to the header of the kept dimensions.
+    (tmp_path / "empty.jsonl").write_text('{"dim": 12}\n')
+    assert main(
+        ["clip-apply", "--embeddings", str(tmp_path / "empty.jsonl"),
+         "--plan", str(plan_dir / "clip_plan.json"), "--out-dir", str(tmp_path / "empty")]
+    ) == 0
+    assert read_bytes(tmp_path / "empty" / "clipped.jsonl") == b'{"dim": 10}\n'
+
 
 def test_label_and_neutralize(tmp_path, capsys):
     caps = tmp_path / "caps.jsonl"

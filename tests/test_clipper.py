@@ -258,6 +258,8 @@ def test_apply_clip_drops_exact_columns():
     assert clipped.vectors.tobytes() == vecs[:, [0, 2, 3, 5]].tobytes()
     # C-ordered, so gathering a row of it reads contiguous memory.
     assert clipped.vectors.flags.c_contiguous
+    empty = apply_clip(EmbeddingTable([], np.empty((0, 6))), plan)
+    assert len(empty) == 0 and empty.vectors.shape == (0, 4) and empty.vectors.flags.c_contiguous
 
 
 def test_apply_clip_empty_plan_is_identity():

@@ -564,6 +564,18 @@ def test_table_cache_stores_no_table_larger_than_the_cap(tmp_path, table_cache, 
     assert _cache_files(table_cache) == [_entry_name(small)]
 
 
+def test_table_cache_caps_the_whole_entry_not_just_the_matrix(tmp_path, table_cache, monkeypatch):
+    small, large = tmp_path / "small.jsonl", tmp_path / "large.jsonl"
+    save_embeddings(EmbeddingTable(["a", "b"], [[1.0, 2.0], [3.0, 4.0]]), small)
+    table = EmbeddingTable([f"row{i}" for i in range(1000)], np.ones((1000, 8)))
+    save_embeddings(table, large)
+    load_embeddings(small)
+    # The matrix fits; with its .npy header and ~8 KB of ids the entry does not.
+    monkeypatch.setattr(core, "_CACHE_CAP_BYTES", table.vectors.nbytes + 1000)
+    assert load_embeddings(large) == table
+    assert _cache_files(table_cache) == [_entry_name(small)]
+
+
 def test_table_cache_trusts_only_what_other_users_cannot_write(tmp_path, table_cache, monkeypatch):
     table = _cacheable_table()
     path = tmp_path / "t.jsonl"
@@ -714,7 +726,7 @@ _JSON_DOCUMENTS = {
         lambda plan, path: plan.save(path),
     ),
     "lexicon": (
-        ("masculine", "feminine", "neutral", "replacement"),
+        ("masculine", "feminine", "replacement"),
         lambda path: GenderLexicon.default().save(path),
         GenderLexicon.load,
         lambda lexicon, path: lexicon.save(path),

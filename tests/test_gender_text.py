@@ -14,9 +14,7 @@ import pytest
 from searchbias import core, gender_text
 from searchbias.core import DataError, GenderLabel, load_labels
 from searchbias.gender_text import (
-    CaptionGender,
     GenderLexicon,
-    caption_gender,
     caption_hits,
     image_gender,
     load_captions,
@@ -45,6 +43,27 @@ REFERENCE_REWRITES = [
 ]
 
 
+# Each (masculine, feminine) pair of a caption's hits by name; the pinned
+# digests below hash these names.
+_GENDER_OF_HITS = {
+    (True, True): "has_both",
+    (True, False): "has_masc",
+    (False, True): "has_fem",
+    (False, False): "none",
+}
+
+
+def _genders(texts, lexicon=None):
+    """The name of each text's hits, from one `caption_hits` scan."""
+    masc, fem = caption_hits(texts, lexicon)
+    return [_GENDER_OF_HITS[hit] for hit in zip(masc.tolist(), fem.tolist())]
+
+
+def _one_image(texts, lexicon=None):
+    """The label of one image whose captions are `texts`."""
+    return image_gender(texts, ["i"] * len(texts), lexicon)["i"]
+
+
 def test_reference_rewrites_verbatim():
     for before, after in REFERENCE_REWRITES:
         assert neutralize(before) == after
@@ -56,25 +75,32 @@ def test_tokenize():
     assert tokenize("Hello, WORLD") == ["hello", "world"]
 
 
-def test_caption_gender():
-    assert caption_gender("A man with a red helmet on a small moped") is CaptionGender.HAS_MASC
-    assert caption_gender("A female surfboarder dressed in black") is CaptionGender.HAS_FEM
-    assert caption_gender("A group of young men and women sitting") is CaptionGender.HAS_BOTH
-    assert caption_gender("A bowl of fruit on a table") is CaptionGender.NONE
-    assert caption_gender("The man's hat") is CaptionGender.HAS_MASC  # possessive stem
-    assert caption_gender("A person walking") is CaptionGender.NONE  # neutral words don't count
-    assert caption_gender("Manic humans managing") is CaptionGender.NONE  # no substring matches
+def test_caption_hits():
+    assert _genders(
+        [
+            "A man with a red helmet on a small moped",
+            "A female surfboarder dressed in black",
+            "A group of young men and women sitting",
+            "A bowl of fruit on a table",
+            "The man's hat",  # possessive stem
+            "A person walking",  # neutral words don't count
+            "Manic humans managing",  # no substring matches
+        ]
+    ) == ["has_masc", "has_fem", "has_both", "none", "has_masc", "none", "none"]
 
 
 def test_image_gender_rules():
-    assert image_gender(["A man riding", "A dog nearby"]) is GenderLabel.MALE
-    assert image_gender(["A woman riding", "Trees in fog"]) is GenderLabel.FEMALE
-    assert image_gender(["A man riding", "A woman nearby"]) is GenderLabel.NEUTRAL
-    assert image_gender(["A man and a woman"]) is GenderLabel.NEUTRAL
-    assert image_gender(["A dog", "A cat"]) is GenderLabel.NEUTRAL
-    assert image_gender(["A man", "A dog"]) is image_gender(["A dog", "A man"])
-    with pytest.raises(DataError):
-        image_gender([])
+    texts = ["A man riding", "A dog nearby", "A woman riding", "Trees in fog", "A man riding",
+             "A woman nearby", "A man and a woman", "A dog", "A cat"]
+    assert image_gender(texts, ["m", "m", "f", "f", "b", "b", "one", "n", "n"]) == {
+        "m": GenderLabel.MALE,
+        "f": GenderLabel.FEMALE,
+        "b": GenderLabel.NEUTRAL,
+        "one": GenderLabel.NEUTRAL,
+        "n": GenderLabel.NEUTRAL,
+    }
+    assert _one_image(["A man", "A dog"]) is _one_image(["A dog", "A man"]) is GenderLabel.MALE
+    assert image_gender([], []) == {}
 
 
 def test_neutralize_replacement_cases():
@@ -115,13 +141,11 @@ def test_custom_lexicon():
     lex = GenderLexicon(
         masculine=frozenset({"king"}),
         feminine=frozenset({"queen"}),
-        neutral=frozenset({"monarch"}),
         replacement={"king": "monarch", "queen": "monarch"},
     )
-    assert caption_gender("The king waved", lex) is CaptionGender.HAS_MASC
     assert neutralize("The king met the queen.", lex) == "The monarch met the monarch."
     # Default lexicon words mean nothing to a custom lexicon.
-    assert caption_gender("A man walked", lex) is CaptionGender.NONE
+    assert _genders(["The king waved", "A man walked"], lex) == ["has_masc", "none"]
 
 
 def test_lexicon_round_trip_and_validation(tmp_path):
@@ -130,25 +154,23 @@ def test_lexicon_round_trip_and_validation(tmp_path):
     lex.save(path)
     assert GenderLexicon.load(path) == lex
     obj = json.loads(lex.to_json())
-    assert set(obj) == {"masculine", "feminine", "neutral", "replacement"}
+    assert set(obj) == {"masculine", "feminine", "replacement"}
 
     with pytest.raises(DataError):
         GenderLexicon(
             masculine=frozenset({"man"}),
             feminine=frozenset({"man"}),
-            neutral=frozenset(),
             replacement={},
         )
     with pytest.raises(DataError):
         GenderLexicon(
             masculine=frozenset({"man"}),
             feminine=frozenset(),
-            neutral=frozenset(),
             replacement={"woman": "person"},  # key outside the gendered sets
         )
 
     # JSON of the wrong types, as a user's lexicon file may hold.
-    good = {"masculine": ["king"], "feminine": ["queen"], "neutral": [], "replacement": {}}
+    good = {"masculine": ["king"], "feminine": ["queen"], "replacement": {}}
     assert GenderLexicon.from_json(json.dumps(good)).masculine == frozenset({"king"})
     for bad in (
         7,
@@ -156,12 +178,29 @@ def test_lexicon_round_trip_and_validation(tmp_path):
         {**good, "masculine": 1},
         {**good, "masculine": "king"},
         {**good, "feminine": [1]},
-        {**good, "neutral": None},
         {**good, "replacement": ["king"]},
         {**good, "replacement": {"king": 3}},
     ):
         with pytest.raises(DataError):
             GenderLexicon.from_json(json.dumps(bad))
+
+
+def test_lexicon_json_ignores_the_neutral_list_older_files_hold(tmp_path):
+    """Lexicon files once held a "neutral" word list that no rule read."""
+    lex = GenderLexicon.default()
+    assert list(json.loads(lex.to_json())) == ["feminine", "masculine", "replacement"]
+    old = {
+        **json.loads(lex.to_json()),
+        "neutral": ["person", "people", "human", "adult", "baby", "child", "kid", "children",
+                    "guy", "teenage", "crowd"],
+    }
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(old, sort_keys=True) + "\n")
+    assert GenderLexicon.load(path) == lex
+    king = GenderLexicon(masculine=frozenset({"king"}), feminine=frozenset({"queen"}), replacement={})
+    for text in ('{"masculine": ["king"], "feminine": ["queen"], "replacement": {}}',
+                 '{"masculine": ["king"], "feminine": ["queen"], "neutral": [], "replacement": {}}'):
+        assert GenderLexicon.from_json(text) == king
 
 
 def test_default_lexicon_is_one_shared_read_only_instance():
@@ -191,13 +230,11 @@ def test_equal_lexicons_hash_equal():
     king = GenderLexicon(
         masculine=frozenset({"King"}),
         feminine=frozenset({"queen"}),
-        neutral=frozenset({"monarch"}),
         replacement={"KING": "Monarch", "queen": None},
     )
     same_king = GenderLexicon(
         masculine=frozenset({"king"}),
         feminine=frozenset({"QUEEN"}),
-        neutral=frozenset({"Monarch"}),
         replacement={"queen": None, "king": "monarch"},
     )
     assert king == same_king and hash(king) == hash(same_king)
@@ -235,9 +272,10 @@ def fuzz_corpus(n, seed):
 
 
 def test_neutralize_idempotent_and_complete_on_fuzz():
-    for text in fuzz_corpus(800, seed=7):
-        once = neutralize(text)
-        assert caption_gender(once) is CaptionGender.NONE, (text, once)
+    texts = fuzz_corpus(800, seed=7)
+    onces = [neutralize(text) for text in texts]
+    for text, once, gender in zip(texts, onces, _genders(onces)):
+        assert gender == "none", (text, once)
         assert neutralize(once) == once, (text, once)
 
 
@@ -420,14 +458,6 @@ def _reference_hits(text, lexicon):
     return not tokens.isdisjoint(lexicon.masculine), not tokens.isdisjoint(lexicon.feminine)
 
 
-_GENDER_OF_HITS = {
-    (True, True): CaptionGender.HAS_BOTH,
-    (True, False): CaptionGender.HAS_MASC,
-    (False, True): CaptionGender.HAS_FEM,
-    (False, False): CaptionGender.NONE,
-}
-
-
 def _reference_label(texts, lexicon):
     """An image's label from the token sets of its captions."""
     hits = [_reference_hits(text, lexicon) for text in texts]
@@ -465,7 +495,6 @@ def test_prefilter_never_changes_the_caption_tools():
     custom = GenderLexicon(
         masculine=frozenset({"king", "he-man", "mr.", "sir"}),
         feminine=frozenset({"queen", "ms.", "dame"}),
-        neutral=frozenset({"monarch"}),
         replacement={"king": "monarch", "queen": "monarch", "sir": None, "he-man": "hero"},
     )
     for seed, lexicon in ((1, GenderLexicon.default()), (2, custom)):
@@ -478,15 +507,16 @@ def test_prefilter_never_changes_the_caption_tools():
         assert 100 < skipped < len(texts) - 100
         for text in texts:
             assert neutralize(text, lexicon) == neutralize(text, full), text
-            assert caption_gender(text, lexicon) is _GENDER_OF_HITS[_reference_hits(text, lexicon)], text
-        for i in range(0, len(texts), 3):
-            group = texts[i : i + 3]
-            assert image_gender(group, lexicon) is _reference_label(group, lexicon), group
+        masc, fem = caption_hits(texts, lexicon)
+        assert list(zip(masc.tolist(), fem.tolist())) == [_reference_hits(t, lexicon) for t in texts]
+        # Images of three captions each.
+        labels = image_gender(texts, [i // 3 for i in range(len(texts))], lexicon)
+        assert labels == {i // 3: _reference_label(texts[i : i + 3], lexicon) for i in range(0, len(texts), 3)}
 
     # The phrase rule runs under any lexicon, so "men" always passes the prefilter.
     assert neutralize("Men and women run", custom) == "People run"
     # Tokens come from the original text: the Kelvin sign is not the letter k.
-    assert caption_gender("\u212aing and queen", custom) is CaptionGender.HAS_FEM
+    assert _genders(["\u212aing and queen"], custom) == ["has_fem"]
     assert neutralize("A \u212aing", custom) == "A \u212aing"
     assert neutralize("\u0130man and \u017fon", GenderLexicon.default()) == "\u0130person and \u017fon"
 
@@ -500,7 +530,7 @@ def test_prefilter_matches_whole_words_of_ascii_text():
     # Lowering can put an ASCII letter beside a token of a non-ASCII text
     # ("\u212aman" lowers to "kman"), so such a text skips the prefilter.
     assert not prefilter.search("\u212aman".lower())
-    assert caption_gender("\u212aman") is CaptionGender.HAS_MASC
+    assert _genders(["\u212aman"]) == ["has_masc"]
     assert neutralize("\u212aman") == "\u212aperson"
     assert neutralize("man\u0130") == "person\u0130"
 
@@ -530,13 +560,12 @@ def _pinned_corpus(rng, words, n):
 
 
 def test_caption_tools_are_pinned():
-    """neutralize and caption_gender give these exact results on a seeded corpus."""
+    """neutralize and caption_hits give these exact results on a seeded corpus."""
     filler = ["a", "an", "the", "and", "is", "person", "human", "german", "dog", "x-ray",
               "Men and women", "women and men", "king", "ing", "an", "actor", "owl", "with"]
     custom = GenderLexicon(
         masculine=frozenset({"king", "he-man", "mr.", "sir", "lord"}),
         feminine=frozenset({"queen", "ms.", "dame", "lady"}),
-        neutral=frozenset({"monarch"}),
         replacement={"king": "monarch", "queen": "monarch", "sir": None, "dame": None,
                      "he-man": "hero", "lady": "an"},
     )
@@ -546,7 +575,7 @@ def test_caption_tools_are_pinned():
         texts = _pinned_corpus(np.random.default_rng(seed), words, 4000)
         texts += ["Male surfer riding", "a male female actor", "A male an female owl", "Male"]
         neutral = [neutralize(text, lexicon) for text in texts]
-        genders = [caption_gender(text, lexicon).value for text in texts]
+        genders = _genders(texts, lexicon)
         for key, values in (("neutralize", neutral), ("caption_gender", genders)):
             blob = json.dumps(values).encode("ascii")
             digests[f"{name}/{key}"] = hashlib.sha256(blob).hexdigest()
@@ -564,7 +593,6 @@ _SCAN_FILLER = ["a", "an", "the", "and", "is", "person", "human", "german", "dog
 _SCAN_CUSTOM = GenderLexicon(
     masculine=frozenset({"king", "he-man", "mr.", "sir", "lord", "\u212aaiser"}),
     feminine=frozenset({"queen", "ms.", "dame", "lady"}),
-    neutral=frozenset({"monarch"}),
     replacement={"king": "monarch", "queen": "monarch"},
 )
 
@@ -599,41 +627,38 @@ def test_caption_hits_edge_cases():
         "mankind",
         "\u212aing queen",
     ]
-    masc, fem = caption_hits(texts)
-    assert [_GENDER_OF_HITS[hit] for hit in zip(masc.tolist(), fem.tolist())] == [
-        CaptionGender.HAS_MASC,
-        CaptionGender.HAS_FEM,
-        CaptionGender.NONE,
-        CaptionGender.NONE,
-        CaptionGender.HAS_MASC,
-        CaptionGender.HAS_MASC,
-        CaptionGender.HAS_MASC,
-        CaptionGender.HAS_FEM,
-        CaptionGender.HAS_MASC,
-        CaptionGender.HAS_FEM,
-        CaptionGender.NONE,
-        CaptionGender.NONE,
+    assert _genders(texts) == [
+        "has_masc",
+        "has_fem",
+        "none",
+        "none",
+        "has_masc",
+        "has_masc",
+        "has_masc",
+        "has_fem",
+        "has_masc",
+        "has_fem",
+        "none",
+        "none",
     ]
     # The lexicon's Kelvin-sign word is lowered to "kaiser", the token of "Kaiser".
-    assert caption_gender("\u212aing queen", _SCAN_CUSTOM) is CaptionGender.HAS_FEM
-    assert caption_gender("Der Kaiser", _SCAN_CUSTOM) is CaptionGender.HAS_MASC
-    assert caption_gender("Der \u212aaiser", _SCAN_CUSTOM) is CaptionGender.NONE
+    assert _genders(["\u212aing queen", "Der Kaiser", "Der \u212aaiser"], _SCAN_CUSTOM) == [
+        "has_fem", "has_masc", "none",
+    ]
     for hits in (caption_hits([]), caption_hits([], _SCAN_CUSTOM)):
         assert [h.tolist() for h in hits] == [[], []]
-    assert image_gender([], image_ids=[]) == {}
 
 
 def test_a_lexicon_of_no_letter_words_labels_everything_neutral():
     lexicon = GenderLexicon(
         masculine=frozenset({"he-man", "mr.", "m2", "\u017fir"}),
         feminine=frozenset({"ms.", "mrs.", ""}),
-        neutral=frozenset(),
         replacement={},
     )
     texts = ["he-man", "mr. smith", "Ms. Jones", "m2", "\u017fir", "sir", "", "a man and a woman"]
     masc, fem = caption_hits(texts, lexicon)
     assert not masc.any() and not fem.any()
-    assert image_gender(texts, lexicon, [f"i{i % 3}" for i in range(len(texts))]) == {
+    assert image_gender(texts, [f"i{i % 3}" for i in range(len(texts))], lexicon) == {
         "i0": GenderLabel.NEUTRAL, "i1": GenderLabel.NEUTRAL, "i2": GenderLabel.NEUTRAL,
     }
 
@@ -641,7 +666,7 @@ def test_a_lexicon_of_no_letter_words_labels_everything_neutral():
 def test_image_labels_come_in_first_appearance_order():
     texts = ["A man", "A dog", "A woman", "A girl", "A boy", "Trees", "A man and a lady"]
     ids = ["b", "a", "c", "a", "b", "d", "e"]
-    labels = image_gender(texts, image_ids=ids)
+    labels = image_gender(texts, ids)
     assert list(labels.items()) == [
         ("b", GenderLabel.MALE),
         ("a", GenderLabel.FEMALE),
@@ -651,6 +676,6 @@ def test_image_labels_come_in_first_appearance_order():
     ]
     # Each image's label is the one its captions get alone.
     for image_id, label in labels.items():
-        assert image_gender([t for t, i in zip(texts, ids) if i == image_id]) is label
+        assert _one_image([t for t, i in zip(texts, ids) if i == image_id]) is label
     with pytest.raises(ValueError, match="6 image ids for 7 captions"):
-        image_gender(texts, image_ids=ids[:-1])
+        image_gender(texts, ids[:-1])
