@@ -8,9 +8,11 @@ from .core import (
     EmbeddingTable,
     GenderLabel,
     gender_codes,
+    load_captions,
     load_embeddings,
     load_labels,
     load_truth,
+    save_captions,
     save_embeddings,
     save_labels,
     save_truth,
@@ -29,14 +31,7 @@ from .metrics import (
     recall_at_k,
 )
 from .clipper import ClipPlan, apply_clip, estimate_mi, fit_clip_plan
-from .gender_text import (
-    GenderLexicon,
-    caption_hits,
-    image_gender,
-    load_captions,
-    neutralize,
-    save_captions,
-)
+from .gender_text import GenderLexicon, caption_hits, image_gender, neutralize
 from .trainer import (
     LinearEncoders,
     TrainerConfig,

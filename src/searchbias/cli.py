@@ -37,22 +37,18 @@ from .core import (
     Dataset,
     _json_str,
     _write_lines,
+    load_captions,
     load_embeddings,
     load_labels,
     load_truth,
     recording_inputs,
+    save_captions,
     save_embeddings,
     save_labels,
     save_truth,
     synth_dataset,
 )
-from .gender_text import (
-    GenderLexicon,
-    image_gender,
-    load_captions,
-    neutralize,
-    save_captions,
-)
+from .gender_text import GenderLexicon, image_gender, neutralize
 from .metrics import bias_at_k, metric_curve, occupation_bias_report, recall_at_k
 from .retrieval import retrieve_all
 from .trainer import TrainerConfig, train, train_alphas, validate, validation_split
@@ -115,9 +111,10 @@ def _csv_field(text):
     return text
 
 
-def _write_per_query(path, text_ids, deltas):
+def _write_per_query(path, text_ids, deltas, k_max):
     """Write per_query.csv: the header, then one text_id,k,delta row per
-    query and cutoff k = 1..k_max.
+    query and cutoff k = 1..k_max; past the last column of `deltas`, every
+    cutoff has that column's delta (see `MetricCurve`).
 
     Each id is quoted once and each distinct delta formatted once, with the
     `repr` csv.writer uses for a float; deltas are told apart by their bits,
@@ -128,14 +125,14 @@ def _write_per_query(path, text_ids, deltas):
     bits = np.ascontiguousarray(deltas, dtype=np.float64).view(np.int64)
     distinct, index = np.unique(bits, return_inverse=True)
     formatted = [repr(delta) for delta in distinct.view(np.float64).tolist()]
-    width = bits.shape[1]
-    fields = [None, None, None, "\n"] * width
-    fields[1::4] = [f",{k}," for k in range(1, width + 1)]
+    past = k_max - bits.shape[1]
+    fields = [None, None, None, "\n"] * k_max
+    fields[1::4] = [f",{k}," for k in range(1, k_max + 1)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("text_id,k,delta\n")
         for text_id, row in zip(text_ids, index.reshape(bits.shape).tolist()):
-            fields[::4] = [_csv_field(text_id)] * width
-            fields[2::4] = [formatted[i] for i in row]
+            fields[::4] = [_csv_field(text_id)] * k_max
+            fields[2::4] = [formatted[i] for i in row + row[-1:] * past]
             fh.write("".join(fields))
 
 
@@ -253,7 +250,7 @@ def cmd_evaluate(args):
     _write_json(_out_path(args, "report.json"), report)
     _write_csv(_out_path(args, "curve.csv"), ["k", "bias_at_k", "recall_at_k"], curve_rows)
     if args.per_query:
-        _write_per_query(_out_path(args, "per_query.csv"), curve.text_ids, curve.deltas)
+        _write_per_query(_out_path(args, "per_query.csv"), curve.text_ids, curve.deltas, k_max)
     headline = ", ".join(
         f"bias@{m['k']}={m['bias_at_k']:.4f} recall@{m['k']}={m['recall_at_k']:.4f}"
         for m in metrics

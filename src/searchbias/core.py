@@ -1,9 +1,15 @@
 """Data model: embedding tables, gender labels, datasets, and synthetic fixtures.
 
-Tables, labels and truth are line-oriented JSON (JSONL) so they can be streamed,
-diffed, and produced by external encoders without this package installed. The
-other inputs (clip plans, lexicons, checkpoints) are one JSON object each, and
-both kinds decode through orjson with the same strict rules.
+Tables, labels, truth and captions are line-oriented JSON (JSONL) so they can
+be streamed, diffed, and produced by external encoders without this package
+installed. The other inputs (clip plans, lexicons, checkpoints) are one JSON
+object each, and both kinds decode through orjson with the same strict rules.
+
+Labels, truth and captions (`load_captions`) are records of strings that
+one loader, `_load_columns`, parses, checks and caches, and one writer
+writes. A bad line is refused with one wording per fault, whatever the kind:
+`<path>, line N: record needs 'key'`, `... key must be a non-empty string,
+got <value>`, or `... duplicate id 'x'`.
 
 What the JSONL loaders parse is also kept in a per-user cache keyed by the
 SHA-256 of the file's bytes, so an input read again by a later command skips
@@ -30,6 +36,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from types import MappingProxyType
 
 import numpy as np
@@ -257,7 +264,10 @@ def _parse_jsonl(path, sha):
     file `path`, feeding every byte read to `sha`, a SHA-256 hashlib object,
     and record its digest once all are read.
 
-    Lines are strict JSON (RFC 8259), decoded by orjson. Bytes that are not
+    A line ends at \\n, \\r\\n or a bare \\r, and is stripped of the
+    whitespace `str.strip` removes, Unicode's included (U+00A0, U+3000,
+    \\x0b, \\x1c ...), so a line of only such characters is empty. What is
+    left is strict JSON (RFC 8259), decoded by orjson. Bytes that are not
     UTF-8 become lone surrogates, which orjson refuses, so they are reported
     as invalid JSON at their own line, in file order with every other error.
     """
@@ -331,8 +341,8 @@ def _cached(cache, path, kind, read):
         with suppress(OSError):
             os.utime(name, dir_fd=dir_fd)
         return value, digest
-    # ValueError: a bad .npy header, orjson, DataError; the rest, a column
-    # entry's bad shape or unknown label.
+    # ValueError: a bad .npy header or entry, orjson, DataError; the rest,
+    # whatever else a damaged entry may trip.
     except (OSError, ValueError, LookupError, TypeError):
         return None
     finally:
@@ -413,29 +423,6 @@ def _load_cached(path, kind, parse, read, entry):
     if stored is not None:
         _store(cache, f"{sha.hexdigest()}.{kind}", *stored)
     return value
-
-
-def _read_columns(fh, n):
-    """The `n` columns of a column entry: lists of equal length whose items
-    are all non-empty strings."""
-    columns = orjson.loads(fh.read())
-    if (
-        type(columns) is not list
-        or len(columns) != n
-        or any(type(column) is not list or len(column) != len(columns[0]) for column in columns)
-        or any(not set(map(type, column)) <= {str} or "" in column for column in columns)
-    ):
-        raise ValueError("not a column entry")
-    return columns
-
-
-def _column_entry(columns):
-    """The (size, write) pair of an entry holding `columns` as one JSON
-    array, or None if the columns are empty: an empty load is not stored."""
-    if not columns[0]:
-        return None
-    data = orjson.dumps(columns)
-    return len(data), lambda fh: fh.write(data)
 
 
 def load_embeddings(path, expected_dim=None):
@@ -587,97 +574,117 @@ def save_embeddings(table, path):
     )
 
 
-def load_labels(path):
-    """Load {"id", "gender"} JSONL into an ordered id -> GenderLabel map.
+def _load_columns(path, kind, keys, canonical=None):
+    """The records of the JSONL file `path` as a tuple of string columns,
+    one list per key of `keys`, in file order; cached like a table (see
+    `load_embeddings`), the entry of kind `kind` being the columns as one
+    JSON array.
 
-    Cached like a table (see `load_embeddings`): the entry is the columns
-    [ids, label values] as one JSON array.
+    Every record holds every key, each mapped to a non-empty string, and no
+    two share a first value. `canonical`, if given, turns each value of the
+    last key into the form the column holds, or raises DataError. A line is
+    checked in key order, the first missing key, then each value, then a
+    repeated first value; past the first key, errors name the record by it.
     """
-    return _load_cached(
-        path, "labels", _parse_labels, _read_labels,
-        lambda labels: _column_entry([list(labels), [label.value for label in labels.values()]]),
-    )
+    get = itemgetter(*keys)
 
+    def parse(path, sha):
+        def refuse(lineno, values, key, problem):
+            named = "" if key == keys[0] else f" ({keys[0]} {values[0]!r})"
+            return DataError(f"{path}, line {lineno}{named}: {problem}")
 
-def _parse_labels(path, sha):
-    labels = {}
-    for lineno, obj in _parse_jsonl(path, sha):
-        if "id" not in obj or "gender" not in obj:
-            raise DataError(f"{path}, line {lineno}: record needs 'id' and 'gender' keys")
-        id_ = obj["id"]
-        if not isinstance(id_, str) or not id_:
-            raise DataError(f"{path}, line {lineno}: id must be a non-empty string")
-        if id_ in labels:
-            raise DataError(f"{path}, line {lineno}: duplicate id {id_!r}")
-        gender = obj["gender"]
-        # Exact names are looked up; the rest, unhashable values among them, are parsed.
-        label = _LABEL_BY_VALUE.get(gender) if type(gender) is str else None
-        if label is None:
+        rows = {}  # each record's values by its first value, in file order
+        for lineno, obj in _parse_jsonl(path, sha):
             try:
-                label = GenderLabel.parse(gender)
-            except DataError as exc:
-                raise DataError(f"{path}, line {lineno} (id {id_!r}): {exc}") from None
-        labels[id_] = label
-    return labels
+                # Read in key order, so the first missing key raises.
+                values = get(obj)
+            except KeyError as exc:
+                raise DataError(f"{path}, line {lineno}: record needs {exc.args[0]!r}") from None
+            for key, value in zip(keys, values):
+                if type(value) is not str or not value:
+                    raise refuse(lineno, values, key, f"{key} must be a non-empty string, got {value!r}")
+            if canonical is not None:
+                try:
+                    values = (*values[:-1], canonical(values[-1]))
+                except DataError as exc:
+                    raise refuse(lineno, values, keys[-1], exc) from None
+            if values[0] in rows:
+                raise refuse(lineno, values, keys[0], f"duplicate {keys[0]} {values[0]!r}")
+            rows[values[0]] = values
+        return tuple(map(list, zip(*rows.values()))) or tuple([] for _ in keys)
+
+    def read(fh):
+        # The parse's checks, made on whole columns.
+        columns = orjson.loads(fh.read())
+        if (
+            type(columns) is not list
+            or len(columns) != len(keys)
+            or any(type(column) is not list or len(column) != len(columns[0]) for column in columns)
+            or any(not set(map(type, column)) <= {str} or "" in column for column in columns)
+            or len(set(columns[0])) != len(columns[0])
+            # A value `canonical` refuses raises DataError, a ValueError.
+            or canonical is not None and any(canonical(value) != value for value in set(columns[-1]))
+        ):
+            raise ValueError(f"not a {kind} entry")
+        return tuple(columns)
+
+    def entry(columns):
+        if not columns[0]:
+            return None  # an empty load is not stored
+        data = orjson.dumps(columns)
+        return len(data), lambda fh: fh.write(data)
+
+    return _load_cached(path, kind, parse, read, entry)
 
 
-def _read_labels(fh):
-    ids, values = _read_columns(fh, 2)
-    # KeyError: a value that is not a label's.
-    labels = dict(zip(ids, map(_LABEL_BY_VALUE.__getitem__, values)))
-    if len(labels) != len(ids):
-        raise ValueError("duplicate id")
-    return labels
+def _save_columns(path, keys, columns):
+    """Write `columns`, one per key of `keys`, as JSONL lines {"k1": v1, ...}:
+    the bytes `json.dumps` gives for each record of strings."""
+    line = "{" + ", ".join(f'"{key}": %s' for key in keys) + "}\n"
+    escaped = (map(encode_basestring_ascii, column) for column in columns)
+    _write_lines(path, map(str.encode, map(line.__mod__, zip(*escaped, strict=True))))
+
+
+_LABEL_KEYS = ("id", "gender")
+_TRUTH_KEYS = ("text_id", "image_id")
+_CAPTION_KEYS = ("id", "image_id", "text")
+
+
+def _gender_name(value):
+    """The name of the label `value` names in any case (see `GenderLabel.parse`)."""
+    return value if value in _LABEL_BY_VALUE else GenderLabel.parse(value).value
+
+
+def load_labels(path):
+    """Load {"id", "gender"} JSONL into an ordered id -> GenderLabel map; a
+    gender may be any case of a label's name (see `_load_columns`)."""
+    ids, genders = _load_columns(path, "labels", _LABEL_KEYS, _gender_name)
+    return dict(zip(ids, map(_LABEL_BY_VALUE.__getitem__, genders)))
 
 
 def save_labels(labels, path):
-    _write_lines(
-        path,
-        (b'{"id": %s, "gender": %s}\n' % (_json_str(id_), _json_str(label.value))
-         for id_, label in labels.items()),
-    )
+    _save_columns(path, _LABEL_KEYS, (labels, [label.value for label in labels.values()]))
 
 
 def load_truth(path):
-    """Load {"text_id", "image_id"} JSONL into an ordered text id -> image id map.
-
-    Cached like a table (see `load_embeddings`): the entry is the columns
-    [text ids, image ids] as one JSON array.
-    """
-    return _load_cached(
-        path, "truth", _parse_truth, _read_truth,
-        lambda truth: _column_entry([list(truth), list(truth.values())]),
-    )
-
-
-def _parse_truth(path, sha):
-    truth = {}
-    for lineno, obj in _parse_jsonl(path, sha):
-        if "text_id" not in obj or "image_id" not in obj:
-            raise DataError(f"{path}, line {lineno}: record needs 'text_id' and 'image_id' keys")
-        tid, iid = obj["text_id"], obj["image_id"]
-        if not isinstance(tid, str) or not tid or not isinstance(iid, str) or not iid:
-            raise DataError(f"{path}, line {lineno}: ids must be non-empty strings")
-        if tid in truth:
-            raise DataError(f"{path}, line {lineno}: duplicate text_id {tid!r}")
-        truth[tid] = iid
-    return truth
-
-
-def _read_truth(fh):
-    text_ids, image_ids = _read_columns(fh, 2)
-    truth = dict(zip(text_ids, image_ids))
-    if len(truth) != len(text_ids):
-        raise ValueError("duplicate text id")
-    return truth
+    """Load {"text_id", "image_id"} JSONL into an ordered text id -> image id
+    map (see `_load_columns`)."""
+    return dict(zip(*_load_columns(path, "truth", _TRUTH_KEYS)))
 
 
 def save_truth(truth, path):
-    _write_lines(
-        path,
-        (b'{"text_id": %s, "image_id": %s}\n' % (_json_str(tid), _json_str(iid))
-         for tid, iid in truth.items()),
-    )
+    _save_columns(path, _TRUTH_KEYS, (truth, truth.values()))
+
+
+def load_captions(path):
+    """Load {"id", "image_id", "text"} JSONL as the columns (ids, image_ids,
+    texts), three lists in file order (see `_load_columns`)."""
+    return _load_columns(path, "captions", _CAPTION_KEYS)
+
+
+def save_captions(columns, path):
+    """Write the columns (ids, image_ids, texts) as caption JSONL lines."""
+    _save_columns(path, _CAPTION_KEYS, columns)
 
 
 @dataclass

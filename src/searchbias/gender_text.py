@@ -7,6 +7,11 @@ each image. Neutralization rewrites gendered tokens to neutral ones
 ("man" -> "person", "mother" -> "parent") and removes bare attributive
 "male"/"female"; the result never contains a gendered token and re-running the
 rewrite is a no-op.
+
+Caption files are read and written by `core.load_captions` and
+`core.save_captions`, beside labels and truth, and a bad line is refused in
+their wording, such as `caps.jsonl, line 2 (id 'c1'): text must be a
+non-empty string, got ''`.
 """
 
 from __future__ import annotations
@@ -21,18 +26,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .core import (
-    DataError,
-    GenderLabel,
-    _column_entry,
-    _json_object,
-    _json_str,
-    _load_cached,
-    _parse_jsonl,
-    _read_columns,
-    _read_utf8,
-    _write_lines,
-)
+from .core import DataError, GenderLabel, _json_object, _read_utf8
 
 # A token is a run of ASCII letters. The group makes split() keep the words
 # between the gaps; findall() returns the words either way.
@@ -339,57 +333,3 @@ def neutralize(text, lexicon=None):
             capitalize_next = False
         kept = j
     return "".join(parts)
-
-
-def load_captions(path):
-    """Load {"id", "image_id", "text"} JSONL records as the columns
-    (ids, image_ids, texts), three lists in file order.
-
-    Cached like an embedding table (see `load_embeddings`): the entry is the
-    three columns as one JSON array.
-    """
-    return _load_cached(path, "captions", _parse_captions, _read_captions, _column_entry)
-
-
-def _parse_captions(path, sha):
-    ids, image_ids, texts = [], [], []
-    seen = set()
-    for lineno, obj in _parse_jsonl(path, sha):
-        try:
-            # Read left to right, so the first missing key raises.
-            cid, image_id, text = obj["id"], obj["image_id"], obj["text"]
-        except KeyError as exc:
-            raise DataError(f"{path}, line {lineno}: record needs {exc.args[0]!r}") from None
-        if not cid or not isinstance(cid, str):
-            problem = f"caption id must be a non-empty string, got {cid!r}"
-        elif not image_id or not isinstance(image_id, str):
-            problem = f"caption {cid!r}: image_id must be a non-empty string"
-        elif not text or not isinstance(text, str):
-            problem = f"caption {cid!r}: text must be a non-empty string"
-        elif cid in seen:  # last: an id that is not a string may not hash
-            problem = f"duplicate caption id {cid!r}"
-        else:
-            seen.add(cid)
-            ids.append(cid)
-            image_ids.append(image_id)
-            texts.append(text)
-            continue
-        raise DataError(f"{path}, line {lineno}: {problem}")
-    return ids, image_ids, texts
-
-
-def _read_captions(fh):
-    ids, image_ids, texts = _read_columns(fh, 3)
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate caption id")
-    return ids, image_ids, texts
-
-
-def save_captions(columns, path):
-    """Write the columns (ids, image_ids, texts) as caption JSONL lines."""
-    _write_lines(
-        path,
-        (b'{"id": %s, "image_id": %s, "text": %s}\n'
-         % (_json_str(cid), _json_str(image_id), _json_str(text))
-         for cid, image_id, text in zip(*columns, strict=True)),
-    )

@@ -52,32 +52,41 @@ class MetricCurve:
 
     deltas[q, k - 1] is the q-th result's skew at cutoff k; hits[q, k - 1]
     says whether its ground-truth image is among its first k. Either is None
-    when the curve was built without the map it needs.
+    when the curve was built without the map it needs. Both stop at the
+    ranking's width, or at one column if it has none: no later cutoff adds
+    an image, so every cutoff up to k_max past them has their last column.
     """
 
     text_ids: list
+    k_max: int
     deltas: np.ndarray = field(repr=False)
     hits: np.ndarray = field(repr=False)
 
+    def _to_k_max(self, values):
+        """`values`, one per column, with the last repeated out to k_max."""
+        return values + values[-1:] * (self.k_max - len(values))
+
     def biases(self):
-        """Bias@k at every cutoff k = 1..k_max: the mean per-query skew, summed exactly."""
+        """Bias@k at every cutoff k = 1..k_max: the mean per-query skew, summed
+        exactly, one column at a time (as Python floats, a delta takes 24 bytes)."""
         n = len(self.text_ids)
-        return [math.fsum(column) / n for column in self.deltas.T.tolist()]
+        return self._to_k_max([math.fsum(column.tolist()) / n for column in self.deltas.T])
 
     def recalls(self):
         """Recall@k at every cutoff k = 1..k_max: the fraction of queries whose
         ground-truth image is in the top k."""
         n = len(self.text_ids)
-        return [hits / n for hits in self.hits.sum(axis=0).tolist()]
+        return self._to_k_max([hits / n for hits in self.hits.sum(axis=0).tolist()])
 
 
 def metric_curve(results, k_max, labels=None, truth=None):
     """Build the deltas (given `labels`) and hits (given `truth`) up to k_max in one pass.
 
-    `results` is a `RankedTable`, as `retrieve_all` returns. One Q x k_max matrix
-    holds each query's label codes (+1 Male, -1 Female, 0 otherwise or past
-    the end of a short ranking), read by image row, and its cumulative sums
-    count both genders at every cutoff at once. Hits mark every cutoff at or
+    `results` is a `RankedTable`, as `retrieve_all` returns. The arrays stop
+    at its width (see `MetricCurve`), so they take memory by the ranking,
+    not by k_max. One Q x width matrix holds each query's label codes (+1
+    Male, -1 Female, 0 otherwise or past the end of a short ranking), read
+    by image row, and its running sums count both genders at every cutoff. Hits mark every cutoff at or
     past the rank of the query's ground-truth image, found by comparing image
     rows: a truth id maps to its row through the image table's id index, and
     one the table does not hold is never a hit. Each text id may appear once.
@@ -92,9 +101,10 @@ def metric_curve(results, k_max, labels=None, truth=None):
         raise DataError(f"text {repeated!r} appears more than once in the results")
     rows = results.rows[:, :k_max]
     width = rows.shape[1]
+    columns = max(width, 1)
     deltas = hits = None
     if labels is not None:
-        codes = np.zeros((len(text_ids), k_max), dtype=np.int8)
+        codes = np.zeros((len(text_ids), columns), dtype=np.int8)
         try:
             # One code per image row, and a last 0 that the -1 padding reads.
             codes[:, :width] = np.append(gender_codes(results.image_ids, labels), np.int8(0))[rows]
@@ -103,11 +113,12 @@ def metric_curve(results, k_max, labels=None, truth=None):
             ranked = rows >= 0
             ids = results.image_ids
             codes[:, :width][ranked] = gender_codes([ids[r] for r in rows[ranked].tolist()], labels)
-        n_male = np.cumsum(codes == 1, axis=1)
-        n_female = np.cumsum(codes == -1, axis=1)
-        gendered = n_male + n_female
-        # Integer counts divided as floats: the same value as Python's int / int.
-        deltas = np.where(gendered > 0, (n_male - n_female) / np.maximum(gendered, 1), 0.0)
+        # Running sums of the codes and of their nonzero count are n_male -
+        # n_female and n_male + n_female: divided as floats, Python's int /
+        # int, and 0 / 1 = 0.0 before the first gendered image.
+        gendered = np.cumsum(codes != 0, axis=1, dtype=np.int32)
+        np.maximum(gendered, 1, out=gendered)
+        deltas = np.cumsum(codes, axis=1, dtype=np.int32) / gendered
     if truth is not None:
         try:
             wants = [truth[tid] for tid in text_ids]
@@ -117,10 +128,10 @@ def metric_curve(results, k_max, labels=None, truth=None):
         # numpy's string arrays drop trailing NULs ("a\x00" == "a").
         get = results.image_index.get
         truth_rows = np.fromiter((get(iid, _NO_ROW) for iid in wants), np.int64, len(wants))
-        found = np.zeros((len(text_ids), k_max), dtype=bool)
+        found = np.zeros((len(text_ids), columns), dtype=bool)
         np.equal(rows, truth_rows[:, None], out=found[:, :width])
         hits = np.logical_or.accumulate(found, axis=1)
-    return MetricCurve(text_ids=text_ids, deltas=deltas, hits=hits)
+    return MetricCurve(text_ids=text_ids, k_max=k_max, deltas=deltas, hits=hits)
 
 
 def bias_at_k(results, labels, k):

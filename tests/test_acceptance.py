@@ -153,7 +153,7 @@ def base_rate(labels):
 def class_offset(results, ds, k):
     """Mean over male- and female-truth queries of |Bias@k(class) - base rate|."""
     b = base_rate(ds.labels)
-    deltas = metric_curve(results, k, ds.labels).deltas[:, k - 1].tolist()
+    deltas = metric_curve(results, k, ds.labels).deltas[:, -1].tolist()
     classes = [ds.labels[ds.truth[tid]] for tid in results.text_ids]
     offsets = []
     for gender in (M, F):

@@ -130,6 +130,27 @@ def test_evaluate_report_and_curve(data_dir, tmp_path):
     assert np.mean(deltas_at_10) == pytest.approx(k10["bias_at_k"], abs=1e-12)
 
 
+def test_evaluate_far_past_the_image_count_writes_the_full_curve(tmp_path):
+    """No cutoff past a ranking's end adds an image, so k = 3000 over 12
+    images writes the bytes that a curve built out to k = 3000 wrote
+    (digests from that build), with the last ranked cutoff's values repeated."""
+    synth, out = tmp_path / "synth", tmp_path / "eval"
+    assert main(["synth", "--seed", "8", "--n-images", "12", "--n-texts", "9", "--dim", "3",
+                 "--bias-dims", "0", "--skew", "0.7", "--text-noise", "0.8", "--out-dir", str(synth)]) == 0
+    assert main(["evaluate", "--images", str(synth / "images.jsonl"), "--texts", str(synth / "texts.jsonl"),
+                 "--labels", str(synth / "labels.jsonl"), "--truth", str(synth / "truth.jsonl"),
+                 "--k-list", "1,5,12,3000", "--per-query", "--out-dir", str(out)]) == 0
+    names = ("report.json", "curve.csv", "per_query.csv")
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names} == {
+        "report.json": "beddd040aeb4ac283f7b31ed35d2e9692bf869f4d3b6637b4c8d9de2c29c5a03",
+        "curve.csv": "6b6c0edb9a56c01c8cb34b497d66d3a612ecc04c6dd32f9cb89aecc5a79bab33",
+        "per_query.csv": "fe8b73bfcedba05040c714721464cc930421eed3c3de7343512d19cfd607ab85",
+    }
+    curve = (out / "curve.csv").read_text().splitlines()
+    assert len(curve) == 1 + 3000
+    assert {line.partition(",")[2] for line in curve[12:]} == {"0.45454545454545453,1.0"}
+
+
 def test_evaluate_rerun_byte_identical(data_dir, tmp_path):
     argv = ["evaluate", *dataset_args(data_dir), "--out-dir", str(tmp_path)]
     assert main(argv) == 0
@@ -395,7 +416,7 @@ def test_mistyped_caption_id_is_invalid(tmp_path, capsys):
     caps = tmp_path / "caps.jsonl"
     caps.write_text('{"id": ["c1"], "image_id": "i1", "text": "A man"}\n')
     assert main(["label", "--captions", str(caps), "--out-dir", str(tmp_path)]) == 2
-    assert f"{caps}, line 1: caption id must be a non-empty string" in capsys.readouterr().err
+    assert f"{caps}, line 1: id must be a non-empty string, got ['c1']" in capsys.readouterr().err
 
 
 def test_header_dim_that_contradicts_the_images_is_invalid(data_dir, tmp_path, capsys):
@@ -693,7 +714,7 @@ def test_per_query_writer_matches_csv_writer_rows(tmp_path):
     values = [-0.0, 0.0, 1e-05, 0.1 + 0.2, 1.0, -1.0, 1 / 3, 5e-324]
     deltas = np.array([values, values[::-1], values[2:] + values[:2]])
     text_ids = ["a,b", "café\r", " x"]
-    cli._write_per_query(tmp_path / "new.csv", text_ids, deltas)
+    cli._write_per_query(tmp_path / "new.csv", text_ids, deltas, len(values))
     rows = [
         [text_id, k, delta]
         for text_id, row in zip(text_ids, deltas.tolist())
@@ -720,7 +741,7 @@ def test_per_query_ids_read_back_through_csv_reader(tmp_path):
     text_ids = _AWKWARD_TEXT_IDS + [
         "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 6))) for _ in range(400)
     ]
-    cli._write_per_query(tmp_path / "pq.csv", text_ids, np.zeros((len(text_ids), 2)))
+    cli._write_per_query(tmp_path / "pq.csv", text_ids, np.zeros((len(text_ids), 2)), 2)
     with open(tmp_path / "pq.csv", encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[1:] == [[t, str(k), "0.0"] for t in text_ids for k in (1, 2)]

@@ -10,7 +10,7 @@ import numpy as np
 import orjson
 import pytest
 
-from searchbias import core, gender_text
+from searchbias import core
 from searchbias.clipper import ClipPlan, apply_clip
 from searchbias.core import (
     DataError,
@@ -18,6 +18,7 @@ from searchbias.core import (
     EmbeddingTable,
     GenderLabel,
     gender_codes,
+    load_captions,
     load_embeddings,
     load_labels,
     load_truth,
@@ -26,7 +27,7 @@ from searchbias.core import (
     save_truth,
     synth_dataset,
 )
-from searchbias.gender_text import GenderLexicon, load_captions
+from searchbias.gender_text import GenderLexicon
 from searchbias.trainer import LinearEncoders, TrainerConfig
 
 
@@ -330,8 +331,7 @@ def _count_parses(monkeypatch):
         calls.append(path)
         return parse(path, *args)
 
-    for module in (core, gender_text):
-        monkeypatch.setattr(module, "_parse_jsonl", counted)
+    monkeypatch.setattr(core, "_parse_jsonl", counted)
     return calls
 
 
@@ -716,6 +716,124 @@ def test_label_and_truth_caches_store_no_failed_or_empty_load(tmp_path, table_ca
     assert _cache_files(table_cache) == []
 
 
+# Each column kind's loader and a good record, in its keys' order.
+_COLUMN_RECORDS = {
+    "labels": (load_labels, {"id": "b", "gender": "female"}),
+    "truth": (load_truth, {"text_id": "b", "image_id": "i"}),
+    "captions": (load_captions, {"id": "b", "image_id": "i", "text": "A dog."}),
+}
+
+
+def _faulty_record(kind, fault):
+    """A record of `kind` with `fault`, and how the loader's error names it
+    after the line number."""
+    record = dict(_COLUMN_RECORDS[kind][1])
+    first, *rest = record
+    if fault == "missing key":
+        for key in rest:
+            del record[key]
+        return record, f": record needs {rest[0]!r}"
+    if fault == "empty string":
+        record[rest[-1]] = ""
+        return record, f" ({first} 'b'): {rest[-1]} must be a non-empty string, got ''"
+    if fault == "non-string":
+        record[first] = ["b"]
+        return record, f": {first} must be a non-empty string, got ['b']"
+    if fault == "duplicate":
+        record[first] = "a"
+        return record, f": duplicate {first} 'a'"
+    record["gender"] = "robot"
+    return record, " (id 'b'): unknown gender label 'robot' (expected male/female/neutral)"
+
+
+@pytest.mark.parametrize(
+    "kind, fault",
+    [(kind, fault) for kind in sorted(_COLUMN_RECORDS)
+     for fault in ("missing key", "empty string", "non-string", "duplicate")]
+    + [("labels", "unknown gender")],
+)
+def test_column_loaders_refuse_each_fault_at_its_line(tmp_path, kind, fault):
+    """Labels, truth and captions share one loader and one wording per fault;
+    the first bad line is reported, and a refused file is never cached."""
+    load, good = _COLUMN_RECORDS[kind]
+    record, problem = _faulty_record(kind, fault)
+    first = next(iter(good))
+    path = tmp_path / f"{kind}.jsonl"
+    path.write_text(json.dumps({**good, first: "a"}) + "\n\n" + json.dumps(record) + "\nnot json\n")
+    for _ in range(2):
+        with pytest.raises(DataError) as err:
+            load(path)
+        assert str(err.value) == f"{path}, line 3{problem}"
+
+
+# Each column kind: its loader, an input, the entry its parse stores, as
+# the loaders have written it since entries were first cached, and the value.
+_HAND_ENTRIES = {
+    "labels": (
+        load_labels,
+        b'{"id": "b", "gender": "Female"}\n{"id": "a\\u0000", "gender": "male"}\n',
+        b'[["b","a\\u0000"],["female","male"]]',
+        {"b": GenderLabel.FEMALE, "a\x00": GenderLabel.MALE},
+    ),
+    "truth": (
+        load_truth,
+        b'{"text_id": "t2", "image_id": "caf\\u00e9"}\n{"text_id": "t1", "image_id": "a"}\n',
+        b'[["t2","t1"],["caf\xc3\xa9","a"]]',
+        {"t2": "café", "t1": "a"},
+    ),
+    "captions": (
+        load_captions,
+        b'{"id": "c2", "image_id": "i1", "text": "A \\"man\\"."}\n{"id": "c1", "image_id": "i1", "text": "x"}\n',
+        b'[["c2","c1"],["i1","i1"],["A \\"man\\".","x"]]',
+        (["c2", "c1"], ["i1", "i1"], ['A "man".', "x"]),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_HAND_ENTRIES))
+def test_a_column_entry_in_the_stored_format_is_a_hit(tmp_path, table_cache, monkeypatch, kind):
+    load, data, entry, value = _HAND_ENTRIES[kind]
+    path = tmp_path / "in.jsonl"
+    path.write_bytes(data)
+    (table_cache / _entry_name(path, kind)).write_bytes(entry)
+    parses = _count_parses(monkeypatch)
+    assert load(path) == value
+    assert parses == []
+    # The parse stores these very bytes.
+    (table_cache / _entry_name(path, kind)).unlink()
+    assert load(path) == value
+    assert len(parses) == 1
+    assert (table_cache / _entry_name(path, kind)).read_bytes() == entry
+
+
+def test_jsonl_lines_end_and_strip_as_python_text(tmp_path):
+    """A line ends at \\n, \\r\\n or a bare \\r. The whitespace `str.strip`
+    removes, Unicode's included (U+00A0, U+3000, \\x0b, \\x1c), is ignored
+    around a record, and a line holding only such whitespace is skipped.
+    U+2028 and U+0085 end no line."""
+    path = tmp_path / "labels.jsonl"
+    a, b = '{"id": "a", "gender": "male"}', '{"id": "b", "gender": "female"}'
+    for text in (
+        a + "\n\u00a0\n" + b + "\n",
+        a + "\n\x1c\n" + b,
+        a + "\u00a0\n" + b + "\x0b\n",
+        "\u3000" + a + "\n\t" + b + "\x0c",
+        a + "\r" + b + "\r",
+        a + "\r\n" + b + "\r\n",
+    ):
+        path.write_bytes(text.encode("utf-8"))
+        assert load_labels(path) == {"a": GenderLabel.MALE, "b": GenderLabel.FEMALE}
+    # Line numbers count every line end.
+    for text, line in ((a + "\r\n" + a, 2), (a + "\r\r" + a, 3), (a + "\n\r\n" + a, 3)):
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(DataError, match=f", line {line}: duplicate id 'a'$"):
+            load_labels(path)
+    for separator in ("\u2028", "\x85"):
+        path.write_bytes((a + separator + b + "\n").encode("utf-8"))
+        with pytest.raises(DataError, match=", line 1: invalid JSON"):
+            load_labels(path)
+
+
 # Each JSON document: its name in errors, its required keys, a saved instance
 # and its loader, and how to save what the loader returns.
 _JSON_DOCUMENTS = {
@@ -854,19 +972,23 @@ def test_labels_round_trip_and_errors(tmp_path):
     path.write_text('{"id": "a", "gender": "male"}\n{"id": 7, "gender": "male"}\n')
     with pytest.raises(DataError) as err:
         load_labels(path)
-    assert str(err.value) == f"{path}, line 2: id must be a non-empty string"
+    assert str(err.value) == f"{path}, line 2: id must be a non-empty string, got 7"
 
     # Names in any case parse; every other value is named in the error.
     path.write_text('{"id": "a", "gender": "MALE"}\n{"id": "b", "gender": "Female"}\n')
     assert load_labels(path) == {"a": GenderLabel.MALE, "b": GenderLabel.FEMALE}
-    for gender, shown in (('"other"', "'other'"), ("1", "1"), ("true", "True"),
-                          ("null", "None"), ('["male"]', "['male']")):
+    for gender, problem in (
+        ('"other"', "unknown gender label 'other' (expected male/female/neutral)"),
+        ('""', "gender must be a non-empty string, got ''"),
+        ("1", "gender must be a non-empty string, got 1"),
+        ("true", "gender must be a non-empty string, got True"),
+        ("null", "gender must be a non-empty string, got None"),
+        ('["male"]', "gender must be a non-empty string, got ['male']"),
+    ):
         path.write_text('{"id": "a", "gender": "male"}\n{"id": "b", "gender": %s}\n' % gender)
         with pytest.raises(DataError) as err:
             load_labels(path)
-        assert str(err.value) == (
-            f"{path}, line 2 (id 'b'): unknown gender label {shown} (expected male/female/neutral)"
-        )
+        assert str(err.value) == f"{path}, line 2 (id 'b'): {problem}"
 
 
 def test_truth_round_trip_and_errors(tmp_path):
@@ -881,7 +1003,7 @@ def test_truth_round_trip_and_errors(tmp_path):
     path.write_text('{"text_id": "t1", "image_id": "i3"}\n{"text_id": "t2", "image_id": ""}\n')
     with pytest.raises(DataError) as err:
         load_truth(path)
-    assert str(err.value) == f"{path}, line 2: ids must be non-empty strings"
+    assert str(err.value) == f"{path}, line 2 (text_id 't2'): image_id must be a non-empty string, got ''"
 
 
 def test_gender_label_parse():

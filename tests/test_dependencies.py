@@ -41,6 +41,21 @@ def test_every_third_party_import_is_a_declared_dependency():
     assert third_party <= declared, f"imported but not in [project] dependencies: {sorted(third_party - declared)}"
 
 
+def test_every_module_parses_as_the_oldest_python_it_declares():
+    """The tests run on one Python; `requires-python` promises older ones.
+    ast.parse with `feature_version` refuses syntax newer than that version,
+    such as `except*`, which needs 3.11."""
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        requires = tomllib.load(fh)["project"]["requires-python"]
+    oldest = tuple(map(int, re.fullmatch(r">=\s*(\d+)\.(\d+)", requires).groups()))
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=oldest)
+    paths = sorted((ROOT / "src" / "searchbias").rglob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=oldest)
+
+
 def unused_top_level_imports(path):
     """Names that a module's top-level imports bind and its code never reads."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))

@@ -11,17 +11,9 @@ import numpy as np
 import orjson
 import pytest
 
-from searchbias import core, gender_text
-from searchbias.core import DataError, GenderLabel, load_labels
-from searchbias.gender_text import (
-    GenderLexicon,
-    caption_hits,
-    image_gender,
-    load_captions,
-    neutralize,
-    save_captions,
-    tokenize,
-)
+from searchbias import core
+from searchbias.core import DataError, GenderLabel, load_captions, load_labels, save_captions
+from searchbias.gender_text import GenderLexicon, caption_hits, image_gender, neutralize, tokenize
 
 REFERENCE_REWRITES = [
     (
@@ -297,10 +289,10 @@ def test_captions_round_trip_and_errors(tmp_path):
     # Fields are checked before the duplicate test, which hashes the id.
     for bad_id in ('["c1"]', '{"a": 1}', "7", '""'):
         path.write_text(f'{{"id": {bad_id}, "image_id": "i1", "text": "x"}}\n')
-        with pytest.raises(DataError, match="line 1: caption id must be a non-empty string"):
+        with pytest.raises(DataError, match="line 1: id must be a non-empty string, got "):
             load_captions(path)
     path.write_text('{"id": "c1", "image_id": "i1", "text": ""}\n')
-    with pytest.raises(DataError, match="line 1: caption 'c1': text must be a non-empty string"):
+    with pytest.raises(DataError, match=r"line 1 \(id 'c1'\): text must be a non-empty string, got ''$"):
         load_captions(path)
 
 
@@ -309,19 +301,19 @@ def test_captions_round_trip_and_errors(tmp_path):
     [
         (['{"image_id": "i1"}'], "line 1: record needs 'id'"),
         (['{"id": "c1", "image_id": "i1"}'], "line 1: record needs 'text'"),
-        (['{"id": 7, "image_id": "i1", "text": "x"}'], "line 1: caption id must be a non-empty string, got 7"),
-        (['{"id": [], "image_id": "i1", "text": "x"}'], "line 1: caption id must be a non-empty string, got []"),
-        (['{"id": "", "image_id": "i1", "text": "x"}'], "line 1: caption id must be a non-empty string, got ''"),
-        (['{"id": "c1", "image_id": "", "text": "x"}'], "line 1: caption 'c1': image_id must be a non-empty string"),
-        (['{"id": "c1", "image_id": "i1", "text": ""}'], "line 1: caption 'c1': text must be a non-empty string"),
-        (['{"id": "c1", "image_id": "i1", "text": 3}'], "line 1: caption 'c1': text must be a non-empty string"),
+        (['{"id": 7, "image_id": "i1", "text": "x"}'], "line 1: id must be a non-empty string, got 7"),
+        (['{"id": [], "image_id": "i1", "text": "x"}'], "line 1: id must be a non-empty string, got []"),
+        (['{"id": "", "image_id": "i1", "text": "x"}'], "line 1: id must be a non-empty string, got ''"),
+        (['{"id": "c1", "image_id": "", "text": "x"}'], "line 1 (id 'c1'): image_id must be a non-empty string, got ''"),
+        (['{"id": "c1", "image_id": "i1", "text": ""}'], "line 1 (id 'c1'): text must be a non-empty string, got ''"),
+        (['{"id": "c1", "image_id": "i1", "text": 3}'], "line 1 (id 'c1'): text must be a non-empty string, got 3"),
         (
             [
                 '{"id": "c1", "image_id": "i1", "text": "x"}',
                 '{"id": "c1", "image_id": "i2", "text": "y"}',
                 '{"id": "c3"}',
             ],
-            "line 2: duplicate caption id 'c1'",
+            "line 2: duplicate id 'c1'",
         ),
     ],
 )
@@ -342,8 +334,7 @@ def _count_caption_parses(monkeypatch):
         calls.append(path)
         return parse(path, *args)
 
-    for module in (core, gender_text):
-        monkeypatch.setattr(module, "_parse_jsonl", counted)
+    monkeypatch.setattr(core, "_parse_jsonl", counted)
     return calls
 
 
@@ -426,7 +417,7 @@ def test_captions_cache_stores_no_empty_or_failed_load(tmp_path, table_cache):
     assert load_captions(path) == load_captions(path) == ([], [], [])
     path.write_text('{"id": "c1", "image_id": "i1", "text": "x"}\n{"id": "c1", "image_id": "i1", "text": "y"}\n')
     for _ in range(2):
-        with pytest.raises(DataError, match="line 2: duplicate caption id 'c1'"):
+        with pytest.raises(DataError, match="line 2: duplicate id 'c1'"):
             load_captions(path)
     assert list(table_cache.iterdir()) == []
 
